@@ -23,7 +23,7 @@ namespace
 {
 
 sim::RunDescriptor
-descriptorFor(const apps::App &app, streamit::ProtectionMode mode,
+descriptorFor(const apps::App &app, protection::ProtectionMode mode,
               Cycle flush)
 {
     MachineConfig machine;
@@ -53,10 +53,10 @@ runScenario(sim::ScenarioContext &ctx)
     std::vector<sim::RunDescriptor> descriptors;
     for (const apps::App &app : apps_list) {
         descriptors.push_back(descriptorFor(
-            app, streamit::ProtectionMode::ReliableQueue, 0));
+            app, protection::ProtectionMode::ReliableQueue, 0));
         for (Cycle depth : depths) {
             descriptors.push_back(descriptorFor(
-                app, streamit::ProtectionMode::CommGuard, depth));
+                app, protection::ProtectionMode::CommGuard, depth));
         }
     }
     const std::vector<sim::RunOutcome> outcomes =

@@ -40,7 +40,7 @@ measure(sim::ScenarioContext &ctx, const apps::App &app, Count mtbe,
     for (int seed = 0; seed < ctx.seeds(); ++seed) {
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(static_cast<double>(mtbe))
                 .seedIndex(seed)
                 .machine(machine)

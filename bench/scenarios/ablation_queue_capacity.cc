@@ -35,14 +35,14 @@ runScenario(sim::ScenarioContext &ctx)
         std::vector<sim::RunDescriptor> descriptors;
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .noErrors()
                 .queueCapacityWords(capacity)
                 .descriptor());
         for (int seed = 0; seed < ctx.seeds(); ++seed) {
             descriptors.push_back(
                 sim::ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .queueCapacityWords(capacity)
                     .mtbe(512'000)
                     .seedIndex(seed)

@@ -50,7 +50,7 @@ runScenario(sim::ScenarioContext &ctx)
     // Error-free reference output for frame-exact comparison.
     const std::vector<Word> reference =
         ctx.runOne(sim::ExperimentConfig::app(app)
-                       .mode(streamit::ProtectionMode::CommGuard)
+                       .mode(protection::ProtectionMode::CommGuard)
                        .noErrors()
                        .descriptor())
             .output;
@@ -66,7 +66,7 @@ runScenario(sim::ScenarioContext &ctx)
         for (int seed = 0; seed < ctx.seeds(); ++seed) {
             descriptors.push_back(
                 sim::ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .mtbe(static_cast<double>(mtbe))
                     .seedIndex(seed)
                     .descriptor());

@@ -31,7 +31,7 @@ meanQuality(sim::ScenarioContext &ctx, const apps::App &app,
     for (int seed = 0; seed < ctx.seeds(); ++seed) {
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(static_cast<double>(mtbe))
                 .seedIndex(seed)
                 .guardSourceEdge(guard_source)

@@ -39,7 +39,7 @@ runScenario(sim::ScenarioContext &ctx)
         for (int seed = 0; seed < ctx.seeds(); ++seed) {
             descriptors.push_back(
                 sim::ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .mtbe(512'000)
                     .seedIndex(seed)
                     .machine(machine)

@@ -27,7 +27,7 @@ namespace
 struct ConfigRow
 {
     const char *label;
-    streamit::ProtectionMode mode;
+    protection::ProtectionMode mode;
     bool inject;
 };
 
@@ -40,13 +40,13 @@ runScenario(sim::ScenarioContext &ctx)
     const double mtbe = 1'024'000;
 
     const ConfigRow rows[] = {
-        {"(a) error-free cores", streamit::ProtectionMode::ReliableQueue,
+        {"(a) error-free cores", protection::ProtectionMode::ReliableQueue,
          false},
         {"(b) PPU cores, software queues",
-         streamit::ProtectionMode::PpuOnly, true},
+         protection::ProtectionMode::Raw, true},
         {"(c) PPU cores, reliable queues",
-         streamit::ProtectionMode::ReliableQueue, true},
-        {"(d) PPU cores, CommGuard", streamit::ProtectionMode::CommGuard,
+         protection::ProtectionMode::ReliableQueue, true},
+        {"(d) PPU cores, CommGuard", protection::ProtectionMode::CommGuard,
          true},
     };
 

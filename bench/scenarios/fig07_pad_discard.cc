@@ -30,7 +30,7 @@ runScenario(sim::ScenarioContext &ctx)
 
     const sim::RunOutcome outcome =
         ctx.runOne(sim::ExperimentConfig::app(app)
-                       .mode(streamit::ProtectionMode::CommGuard)
+                       .mode(protection::ProtectionMode::CommGuard)
                        .mtbe(512'000)
                        .seed(1)
                        .descriptor());

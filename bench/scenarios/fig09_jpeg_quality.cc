@@ -38,7 +38,7 @@ runScenario(sim::ScenarioContext &ctx)
     for (Count mtbe : points) {
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(static_cast<double>(mtbe))
                 .seed(3)
                 .descriptor());

@@ -36,7 +36,7 @@ sweepApp(sim::ScenarioContext &ctx, const apps::App &app,
             std::to_string(mtbe / 1000) + "k"};
         for (Count scale : frame_scales) {
             const std::vector<double> samples = ctx.qualitySamples(
-                app, streamit::ProtectionMode::CommGuard, true,
+                app, protection::ProtectionMode::CommGuard, true,
                 static_cast<double>(mtbe), scale);
             const sim::SampleStats stats = sim::summarize(samples);
             row.push_back(

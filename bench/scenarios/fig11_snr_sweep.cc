@@ -37,7 +37,7 @@ sweep(sim::ScenarioContext &ctx, const apps::App &app,
             // report them as a large sentinel, like the paper's
             // near-160 dB channelvocoder points.
             std::vector<double> samples = ctx.qualitySamples(
-                app, streamit::ProtectionMode::CommGuard, true,
+                app, protection::ProtectionMode::CommGuard, true,
                 static_cast<double>(mtbe), scale);
             for (double &s : samples) {
                 if (s > 200.0)

@@ -44,13 +44,13 @@ runScenario(sim::ScenarioContext &ctx)
     for (const apps::App &app : apps_list) {
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::ReliableQueue)
+                .mode(protection::ProtectionMode::ReliableQueue)
                 .noErrors()
                 .descriptor());
         for (Count scale : scales) {
             descriptors.push_back(
                 sim::ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .noErrors()
                     .frameScale(scale)
                     .descriptor());

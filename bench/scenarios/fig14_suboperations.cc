@@ -36,7 +36,7 @@ runScenario(sim::ScenarioContext &ctx)
     for (const apps::App &app : apps_list) {
         descriptors.push_back(
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .noErrors()
                 .descriptor());
     }

@@ -47,7 +47,7 @@ runScenario(sim::ScenarioContext &ctx)
         }
         table.addRow({std::to_string(fuzz_case.caseSeed),
                       std::to_string(fuzz_case.stages),
-                      streamit::protectionModeName(fuzz_case.mode),
+                      protection::protectionModeName(fuzz_case.mode),
                       std::to_string(fuzz_case.jobs),
                       std::to_string(verdict.runs),
                       verdict.ok() ? "ok" : "FAIL"});

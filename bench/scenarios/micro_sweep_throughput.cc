@@ -58,7 +58,7 @@ fig09StyleSweep(sim::ScenarioContext &ctx, const apps::App &app)
         for (int seed = 0; seed < ctx.seeds(); ++seed) {
             descriptors.push_back(
                 sim::ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .mtbe(static_cast<double>(mtbe))
                     .seedIndex(seed)
                     .descriptor());
@@ -177,8 +177,7 @@ runScenario(sim::ScenarioContext &ctx)
     std::cout << "\noutcomes bitwise-identical across job counts: "
                  "yes\n";
 
-    // jobs=4 is the axis point the perf gate and the legacy keys
-    // track.
+    // jobs=4 is the axis point the perf gate tracks.
     const std::size_t j4 = 2;
     Json axis = Json::array();
     Json walls = Json::array();
@@ -193,15 +192,11 @@ runScenario(sim::ScenarioContext &ctx)
     pool["batches_submitted"] =
         Json(results[j4].pool.batchesSubmitted);
     pool["tasks_stolen"] = Json(results[j4].pool.tasksStolen);
-    pool["jobs_queued"] = Json(results[j4].pool.jobsQueued);
     pool["queue_waits"] = Json(results[j4].pool.queueWaits);
     pool["idle_wakeups"] = Json(results[j4].pool.idleWakeups);
 
     Json data = Json::object();
-    data["jobs"] = Json(static_cast<Count>(jobs_axis[j4]));
-    data["wall_seconds"] = Json(results[j4].wallSecs);
     data["simulated_mips"] = Json(mips_at(j4));
-    data["speedup"] = Json(speedup_at(j4));
     data["jobs_axis"] = axis;
     data["wall_seconds_curve"] = walls;
     data["speedup_curve"] = speedups;

@@ -39,7 +39,7 @@ runScenario(sim::ScenarioContext &ctx)
     // runs exactly when error-free, so the overhead column measures
     // protection cost rather than inherited timeout thrash.
     const apps::App app = apps::makeAppByName("complex-fir");
-    const std::vector<streamit::ProtectionMode> modes =
+    const std::vector<protection::ProtectionMode> modes =
         ctx.modesToRun();
     const std::vector<Count> &mtbe_axis = ctx.mtbeAxis();
 
@@ -52,13 +52,13 @@ runScenario(sim::ScenarioContext &ctx)
                               .mode("reliable-queue")
                               .noErrors()
                               .descriptor());
-    for (streamit::ProtectionMode mode : modes) {
+    for (protection::ProtectionMode mode : modes) {
         descriptors.push_back(sim::ExperimentConfig::app(app)
                                   .mode(mode)
                                   .noErrors()
                                   .descriptor());
     }
-    for (streamit::ProtectionMode mode : modes) {
+    for (protection::ProtectionMode mode : modes) {
         for (Count mtbe : mtbe_axis) {
             for (int seed = 0; seed < ctx.seeds(); ++seed) {
                 descriptors.push_back(
@@ -89,7 +89,7 @@ runScenario(sim::ScenarioContext &ctx)
     sim::Table table({"mode", "mtbe (k insts)", "quality (dB)",
                       "repaired items", "overhead (%)"});
     for (std::size_t m = 0; m < modes.size(); ++m) {
-        const streamit::ProtectionMode mode = modes[m];
+        const protection::ProtectionMode mode = modes[m];
         for (Count mtbe : mtbe_axis) {
             std::vector<double> samples;
             Count repaired = 0;
@@ -103,7 +103,7 @@ runScenario(sim::ScenarioContext &ctx)
             }
             const sim::SampleStats stats = sim::summarize(samples);
             table.addRow(
-                {streamit::protectionModeName(mode),
+                {protection::protectionModeName(mode),
                  std::to_string(mtbe / 1000),
                  sim::fmtMeanDev(stats.mean, stats.stddev, 1),
                  std::to_string(repaired),

@@ -55,7 +55,7 @@ runScenario(sim::ScenarioContext &ctx)
 
     sim::ServiceConfig config;
     config.app = &app;
-    config.load = sim::sweepOptions(streamit::ProtectionMode::CommGuard,
+    config.load = sim::sweepOptions(protection::ProtectionMode::CommGuard,
                                     true, 48'000.0, 0);
     config.totalFrames = frames;
     config.arrivalSeed = 11;

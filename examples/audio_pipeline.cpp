@@ -70,7 +70,7 @@ main(int argc, char **argv)
     for (const Point &point : points) {
         sim::ExperimentConfig config =
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .seed(7);
         if (point.inject)
             config.mtbe(point.mtbe);

@@ -131,7 +131,7 @@ main()
     std::vector<Word> reference;
     for (double mtbe : {0.0, 512e3, 64e3}) {
         streamit::LoadOptions options;
-        options.mode = streamit::ProtectionMode::CommGuard;
+        options.mode = protection::ProtectionMode::CommGuard;
         options.injectErrors = mtbe > 0;
         options.mtbe = mtbe;
         options.seed = 3;

@@ -118,7 +118,7 @@ main()
 
     const sim::RunOutcome clean_run =
         sim::ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .run();
     std::printf("error-free: SNR vs host model = %s (bit-exact)\n",
@@ -127,7 +127,7 @@ main()
     for (double mtbe : {1024e3, 256e3, 64e3}) {
         const sim::RunOutcome outcome =
             sim::ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(mtbe)
                 .seed(11)
                 .run();

@@ -39,11 +39,11 @@ main(int argc, char **argv)
         argc > 5 ? std::strtoull(argv[5], nullptr, 10) : 1;
 
     bool inject = true;
-    streamit::ProtectionMode mode = streamit::ProtectionMode::CommGuard;
+    protection::ProtectionMode mode = protection::ProtectionMode::CommGuard;
     if (mode_name == "ppu") {
-        mode = streamit::ProtectionMode::PpuOnly;
+        mode = protection::ProtectionMode::Raw;
     } else if (mode_name == "reliable") {
-        mode = streamit::ProtectionMode::ReliableQueue;
+        mode = protection::ProtectionMode::ReliableQueue;
     } else if (mode_name == "error-free") {
         inject = false;
     }
@@ -66,7 +66,7 @@ main(int argc, char **argv)
     }
     const streamit::LoadOptions &options = config.options();
     std::printf("app=%s mode=%s mtbe=%.0f seed=%llu frame_scale=%llu\n",
-                app.name.c_str(), streamit::protectionModeName(mode),
+                app.name.c_str(), protection::protectionModeName(mode),
                 mtbe,
                 static_cast<unsigned long long>(seed),
                 static_cast<unsigned long long>(frame_scale));

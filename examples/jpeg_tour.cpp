@@ -21,7 +21,7 @@ namespace
 
 void
 decodeAndSave(const apps::App &app, int width, int height,
-              streamit::ProtectionMode mode, bool inject, double mtbe,
+              protection::ProtectionMode mode, bool inject, double mtbe,
               const std::string &path)
 {
     sim::ExperimentConfig config =
@@ -34,7 +34,7 @@ decodeAndSave(const apps::App &app, int width, int height,
     media::writePpm(
         apps::jpegImageFromOutput(outcome.output, width, height), path);
     std::printf("%-34s PSNR %6.1f dB   pad+discard %8llu   %s\n",
-                streamit::protectionModeName(mode), outcome.qualityDb,
+                protection::protectionModeName(mode), outcome.qualityDb,
                 static_cast<unsigned long long>(
                     outcome.paddedItems() + outcome.discardedItems()),
                 path.c_str());
@@ -58,22 +58,22 @@ main(int argc, char **argv)
     // Protection configurations at MTBE = 1M (the paper's Fig. 3).
     std::printf("-- protection configurations at MTBE = 1M --\n");
     decodeAndSave(app, width, height,
-                  streamit::ProtectionMode::ReliableQueue, false, 0,
+                  protection::ProtectionMode::ReliableQueue, false, 0,
                   dir + "/error_free.ppm");
-    decodeAndSave(app, width, height, streamit::ProtectionMode::PpuOnly,
+    decodeAndSave(app, width, height, protection::ProtectionMode::Raw,
                   true, 1e6, dir + "/software_queues.ppm");
     decodeAndSave(app, width, height,
-                  streamit::ProtectionMode::ReliableQueue, true, 1e6,
+                  protection::ProtectionMode::ReliableQueue, true, 1e6,
                   dir + "/reliable_queues.ppm");
     decodeAndSave(app, width, height,
-                  streamit::ProtectionMode::CommGuard, true, 1e6,
+                  protection::ProtectionMode::CommGuard, true, 1e6,
                   dir + "/commguard.ppm");
 
     // Error-rate sweep with CommGuard (the paper's Fig. 9).
     std::printf("\n-- CommGuard across error rates --\n");
     for (double mtbe : {128e3, 512e3, 2048e3, 8192e3}) {
         decodeAndSave(app, width, height,
-                      streamit::ProtectionMode::CommGuard, true, mtbe,
+                      protection::ProtectionMode::CommGuard, true, mtbe,
                       dir + "/commguard_mtbe" +
                           std::to_string(static_cast<int>(mtbe / 1000)) +
                           "k.ppm");

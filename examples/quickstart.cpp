@@ -21,7 +21,7 @@ main()
 
     const sim::RunOutcome clean_run =
         sim::ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .run();
     std::printf("error-free: completed=%d quality=%.1f dB insts=%llu\n",
@@ -31,7 +31,7 @@ main()
 
     const sim::RunOutcome noisy_run =
         sim::ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(256'000)
             .seed(42)
             .run();

@@ -10,8 +10,10 @@
 # (docs/FUZZING.md), and run the protection-backend gate: a quick
 # pareto_protection sweep whose JSONL records and BENCH document must
 # validate and cover every built-in protection mode (DESIGN.md §4b),
-# and the service gate: serve-run byte-stable across invocations and
-# job counts with a schema-valid stream (docs/SERVICE.md).
+# the result-cache gate: cold, warm and rebuilt-binary reruns
+# byte-identical to an uncached run (docs/RESULT_CACHE.md), and the
+# service gate: serve-run byte-stable across invocations and job
+# counts with a schema-valid stream (docs/SERVICE.md).
 #
 # Usage: scripts/check.sh [--sanitize] [build-dir]   (default: build)
 #
@@ -168,63 +170,61 @@ done
 echo "check.sh: telemetry gate ok (stream byte-stable across jobs," \
      "reports emitted)"
 
-# Sharding + cache gate (docs/SHARDING.md): the same quick sweep run
-# in-process, under --shards=1 and under --shards=4 must emit
-# byte-identical JSONL and BENCH documents (merged output is
-# independent of the shard count); a warm rerun against a populated
-# CG_CACHE_DIR must reproduce the cold run's bytes; and the merged
-# JSONL must validate. Finally the --bench duplicate-run detector must
-# catch a handcrafted double-counted table.
-SHARD_BASE="$BUILD_DIR/shard_base.jsonl"
-SHARD_ONE="$BUILD_DIR/shard_one.jsonl"
-SHARD_FOUR="$BUILD_DIR/shard_four.jsonl"
-SHARD_WARM="$BUILD_DIR/shard_warm.jsonl"
-SHARD_CACHE="$BUILD_DIR/shard_cache"
-SHARD_BENCH="$BUILD_DIR/BENCH_fig08_data_loss.json"
-rm -rf "$SHARD_BASE" "$SHARD_ONE" "$SHARD_FOUR" "$SHARD_WARM" \
-    "$SHARD_CACHE" "$SHARD_BENCH"
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="shard_base.jsonl" \
+# Result-cache gate (docs/RESULT_CACHE.md): the same quick sweep run
+# without a cache, against an empty CG_CACHE_DIR (cold) and against
+# the populated one (warm) must emit byte-identical JSONL, and the
+# warm rerun must replay without storing anything new. A copy of
+# cg_bench with one byte appended is a different build: its rerun
+# must miss every entry (the entry count doubles) and still reproduce
+# the base bytes. The base JSONL and BENCH document must validate, and
+# the --bench duplicate-run detector must catch a handcrafted
+# double-counted table.
+CACHE_BASE="$BUILD_DIR/cache_base.jsonl"
+CACHE_COLD="$BUILD_DIR/cache_cold.jsonl"
+CACHE_WARM="$BUILD_DIR/cache_warm.jsonl"
+CACHE_STALE="$BUILD_DIR/cache_stale.jsonl"
+CACHE_DIR="$BUILD_DIR/result_cache"
+CACHE_BENCH="$BUILD_DIR/BENCH_fig08_data_loss.json"
+STALE_BENCH="$BUILD_DIR/cg_bench_stale"
+rm -rf "$CACHE_BASE" "$CACHE_COLD" "$CACHE_WARM" "$CACHE_STALE" \
+    "$CACHE_DIR" "$CACHE_BENCH" "$STALE_BENCH"
+cache_entries() { find "$CACHE_DIR" -name '*.json' | wc -l; }
+(cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="cache_base.jsonl" \
     "tools/cg_bench" run fig08_data_loss)
-mv "$SHARD_BENCH" "$SHARD_BENCH.base"
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="shard_one.jsonl" \
-    "tools/cg_bench" run --shards=1 fig08_data_loss)
-mv "$SHARD_BENCH" "$SHARD_BENCH.one"
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="shard_four.jsonl" \
-    "tools/cg_bench" run --shards=4 fig08_data_loss)
-mv "$SHARD_BENCH" "$SHARD_BENCH.four"
-for VARIANT in "$SHARD_ONE" "$SHARD_FOUR"; do
-    if ! cmp -s "$SHARD_BASE" "$VARIANT"; then
-        echo "check.sh: sharded JSONL $VARIANT differs from the" \
-             "in-process run" >&2
-        exit 1
-    fi
-done
-for VARIANT in "$SHARD_BENCH.one" "$SHARD_BENCH.four"; do
-    if ! cmp -s "$SHARD_BENCH.base" "$VARIANT"; then
-        echo "check.sh: sharded BENCH document $VARIANT differs from" \
-             "the in-process run" >&2
-        exit 1
-    fi
-done
-"$JSONL_CHECK" "$SHARD_FOUR"
-"$JSONL_CHECK" --bench "$SHARD_BENCH.four"
+"$JSONL_CHECK" "$CACHE_BASE"
+"$JSONL_CHECK" --bench "$CACHE_BENCH"
 
-# Cold run populates the cache; the warm rerun must replay
-# byte-identically.
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="shard_cache" \
-    CG_JSONL="shard_warm.jsonl" "tools/cg_bench" run fig08_data_loss)
-if [ -z "$(ls -A "$SHARD_CACHE")" ]; then
+(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
+    CG_JSONL="cache_cold.jsonl" "tools/cg_bench" run fig08_data_loss)
+COLD_ENTRIES=$(cache_entries)
+if [ "$COLD_ENTRIES" -eq 0 ]; then
     echo "check.sh: cold sweep left CG_CACHE_DIR empty" >&2
     exit 1
 fi
-rm -f "$SHARD_WARM"
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="shard_cache" \
-    CG_JSONL="shard_warm.jsonl" "tools/cg_bench" run fig08_data_loss)
-if ! cmp -s "$SHARD_BASE" "$SHARD_WARM"; then
-    echo "check.sh: warm cache rerun bytes differ from the cold" \
-         "run" >&2
+(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
+    CG_JSONL="cache_warm.jsonl" "tools/cg_bench" run fig08_data_loss)
+if [ "$(cache_entries)" -ne "$COLD_ENTRIES" ]; then
+    echo "check.sh: warm cache rerun stored new entries instead of" \
+         "replaying" >&2
     exit 1
 fi
+cp "$CG_BENCH" "$STALE_BENCH"
+printf '\0' >> "$STALE_BENCH"
+(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
+    CG_JSONL="cache_stale.jsonl" "./cg_bench_stale" run fig08_data_loss)
+if [ "$(cache_entries)" -ne $((2 * COLD_ENTRIES)) ]; then
+    echo "check.sh: a rebuilt cg_bench replayed cache entries of" \
+         "another build ($(cache_entries) entries, expected" \
+         "$((2 * COLD_ENTRIES)))" >&2
+    exit 1
+fi
+for VARIANT in "$CACHE_COLD" "$CACHE_WARM" "$CACHE_STALE"; do
+    if ! cmp -s "$CACHE_BASE" "$VARIANT"; then
+        echo "check.sh: cached JSONL $VARIANT differs from the" \
+             "uncached run" >&2
+        exit 1
+    fi
+done
 
 # Negative path: a table that double-counts a run configuration must
 # be rejected.
@@ -236,8 +236,9 @@ if "$JSONL_CHECK" --bench "$DUP_BENCH" 2>/dev/null; then
          "row" >&2
     exit 1
 fi
-echo "check.sh: sharding gate ok (shards=1/4 and warm-cache reruns" \
-     "byte-identical, duplicate rows rejected)"
+echo "check.sh: cache gate ok (cold, warm and rebuilt-binary reruns" \
+     "byte-identical, rebuilt binary missed every entry, duplicate" \
+     "rows rejected)"
 
 # Service gate (docs/SERVICE.md): the long-lived streaming driver must
 # be bitwise deterministic — the same config yields identical JSONL and

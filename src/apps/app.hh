@@ -46,12 +46,10 @@ struct App
 
     /**
      * Canonical-JSON construction recipe ("{\"factory\":...}"), set by
-     * every parameterized factory so another process can rebuild a
-     * bit-identical App via makeAppFromSpec() — the basis of sharded
-     * sweep execution and of result-cache keys (docs/SHARDING.md).
-     * Empty means the app is not reconstructable from a spec (hand-
-     * assembled graphs); such descriptors always execute locally and
-     * are never cached.
+     * every parameterized factory: the app's identity inside result-
+     * cache keys (docs/RESULT_CACHE.md), since equal recipes build
+     * bit-identical apps. Empty means the app has no recipe (hand-
+     * assembled graphs); such runs are never cached.
      */
     std::string spec;
 };
@@ -76,15 +74,6 @@ App makeFftApp(int blocks = 1024);
 
 /** Factory by benchmark name (paper naming); fatal on unknown names. */
 App makeAppByName(const std::string &name);
-
-/**
- * Rebuild an App from an App::spec recipe produced by any factory in
- * this header (or the random-graph generator). The result is
- * bit-identical to the original factory call: same graph, input,
- * quality baseline and name. fatal() on an unparseable spec or an
- * unknown factory name.
- */
-App makeAppFromSpec(const std::string &spec);
 
 /** All six benchmark names in the paper's order. */
 const std::vector<std::string> &allAppNames();

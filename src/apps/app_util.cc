@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "apps/random_graph_app.hh"
 #include "common/logging.hh"
 
 namespace commguard::apps
@@ -21,96 +20,6 @@ specJson(const std::string &factory, Json::Object params)
 }
 
 } // namespace detail
-
-namespace
-{
-
-/** Required integral spec parameter; fatal() when absent or non-int. */
-std::int64_t
-specInt(const Json &spec, const std::string &key)
-{
-    const Json *value = spec.find(key);
-    if (value == nullptr || !value->isNumber())
-        fatal("makeAppFromSpec: spec lacks integer '" + key +
-              "': " + spec.dump());
-    return static_cast<std::int64_t>(value->number());
-}
-
-/** Required unsigned spec parameter, exact to 64 bits (seeds). */
-Count
-specCount(const Json &spec, const std::string &key)
-{
-    const Json *value = spec.find(key);
-    if (value == nullptr || !value->isNumber())
-        fatal("makeAppFromSpec: spec lacks integer '" + key +
-              "': " + spec.dump());
-    return value->counter();
-}
-
-bool
-specBool(const Json &spec, const std::string &key)
-{
-    const Json *value = spec.find(key);
-    if (value == nullptr || !value->isBool())
-        fatal("makeAppFromSpec: spec lacks boolean '" + key +
-              "': " + spec.dump());
-    return value->boolean();
-}
-
-} // namespace
-
-App
-makeAppFromSpec(const std::string &spec)
-{
-    Json json;
-    std::string error;
-    if (!Json::parse(spec, json, &error) || !json.isObject())
-        fatal("makeAppFromSpec: unparseable spec '" + spec +
-              "': " + error);
-    const Json *factory = json.find("factory");
-    if (factory == nullptr || !factory->isString())
-        fatal("makeAppFromSpec: spec lacks a factory name: " + spec);
-
-    const std::string &name = factory->str();
-    App app;
-    if (name == "jpeg") {
-        app = makeJpegApp(static_cast<int>(specInt(json, "width")),
-                          static_cast<int>(specInt(json, "height")),
-                          static_cast<int>(specInt(json, "quality")));
-    } else if (name == "mp3") {
-        app = makeMp3App(static_cast<int>(specInt(json, "samples")));
-    } else if (name == "audiobeamformer") {
-        app = makeBeamformerApp(
-            static_cast<int>(specInt(json, "samples")));
-    } else if (name == "channelvocoder") {
-        app = makeChannelVocoderApp(
-            static_cast<int>(specInt(json, "samples")));
-    } else if (name == "complex-fir") {
-        app = makeComplexFirApp(
-            static_cast<int>(specInt(json, "samples")));
-    } else if (name == "fft") {
-        app = makeFftApp(static_cast<int>(specInt(json, "blocks")));
-    } else if (name == "random-graph") {
-        RandomGraphOptions options;
-        options.stages = static_cast<int>(specInt(json, "stages"));
-        options.maxGranularity =
-            static_cast<int>(specInt(json, "max_granularity"));
-        options.allowSplitJoin = specBool(json, "allow_split_join");
-        app = makeRandomGraphApp(specCount(json, "graph_seed"),
-                                 options,
-                                 specCount(json, "iterations"));
-    } else {
-        fatal("makeAppFromSpec: unknown factory '" + name + "'");
-    }
-
-    // The rebuilt app must advertise the recipe it was built from —
-    // anything else means a factory changed its spec format and the
-    // shard/cache layers would silently diverge.
-    if (app.spec != spec)
-        fatal("makeAppFromSpec: spec does not round-trip: '" + spec +
-              "' rebuilt as '" + app.spec + "'");
-    return app;
-}
 
 media::Image
 jpegImageFromOutput(const std::vector<Word> &words, int width,

@@ -8,29 +8,6 @@
 namespace commguard
 {
 
-/**
- * RAII bookkeeping for one executing job: decrements the active count
- * and wakes wait()ers no matter how the job exits. Without this a
- * throwing job would leave _active forever nonzero and wait() would
- * hang.
- */
-class ThreadPool::ActiveGuard
-{
-  public:
-    explicit ActiveGuard(ThreadPool &pool) : _pool(pool) {}
-
-    ~ActiveGuard()
-    {
-        std::lock_guard<std::mutex> lock(_pool._mutex);
-        --_pool._active;
-        if (_pool._queue.empty() && _pool._active == 0)
-            _pool._allIdle.notify_all();
-    }
-
-  private:
-    ThreadPool &_pool;
-};
-
 ThreadPool::ThreadPool(unsigned threads) : _jobs(threads < 1 ? 1 : threads)
 {
     if (_jobs <= 1)
@@ -44,10 +21,7 @@ ThreadPool::~ThreadPool()
 {
     {
         std::unique_lock<std::mutex> lock(_mutex);
-        _allIdle.wait(lock, [this] {
-            return _queue.empty() && _active == 0 &&
-                   _batchBody == nullptr;
-        });
+        _allIdle.wait(lock, [this] { return _batchBody == nullptr; });
         _stopping = true;
         if (_pendingException != nullptr) {
             // The destructor cannot rethrow; a job failure nobody
@@ -60,28 +34,6 @@ ThreadPool::~ThreadPool()
     _workAvailable.notify_all();
     for (std::thread &worker : _workers)
         worker.join();
-}
-
-void
-ThreadPool::submit(std::function<void()> job)
-{
-    _statJobs.fetch_add(1, std::memory_order_relaxed);
-    if (_workers.empty()) {
-        // Inline execution mirrors the worker contract: the exception
-        // is captured and surfaces from wait(), not mid-batch from
-        // whichever submit() happened to run the bad job.
-        try {
-            job();
-        } catch (...) {
-            recordException();
-        }
-        return;
-    }
-    {
-        std::lock_guard<std::mutex> lock(_mutex);
-        _queue.push_back(std::move(job));
-    }
-    _workAvailable.notify_one();
 }
 
 void
@@ -133,9 +85,7 @@ void
 ThreadPool::wait()
 {
     std::unique_lock<std::mutex> lock(_mutex);
-    _allIdle.wait(lock, [this] {
-        return _queue.empty() && _active == 0 && _batchBody == nullptr;
-    });
+    _allIdle.wait(lock, [this] { return _batchBody == nullptr; });
     if (_pendingException != nullptr) {
         std::exception_ptr pending =
             std::exchange(_pendingException, nullptr);
@@ -150,7 +100,7 @@ ThreadPool::workerLoop(unsigned worker)
     std::unique_lock<std::mutex> lock(_mutex);
     for (;;) {
         bool waited = false;
-        while (!_stopping && _queue.empty() && !batchOpenLocked()) {
+        while (!_stopping && !batchOpenLocked()) {
             if (!waited) {
                 waited = true;
                 _statQueueWaits.fetch_add(1,
@@ -178,23 +128,6 @@ ThreadPool::workerLoop(unsigned worker)
                 _batchPending.load(std::memory_order_acquire) == 0) {
                 _allIdle.notify_all();
             }
-            continue;
-        }
-
-        if (!_queue.empty()) {
-            std::function<void()> job = std::move(_queue.front());
-            _queue.pop_front();
-            ++_active;
-            lock.unlock();
-            {
-                ActiveGuard guard(*this);
-                try {
-                    job();
-                } catch (...) {
-                    recordException();
-                }
-            }
-            lock.lock();
             continue;
         }
 
@@ -241,7 +174,6 @@ ThreadPool::stats() const
     stats.batchesSubmitted =
         _statBatches.load(std::memory_order_relaxed);
     stats.tasksStolen = _statStolen.load(std::memory_order_relaxed);
-    stats.jobsQueued = _statJobs.load(std::memory_order_relaxed);
     stats.queueWaits = _statQueueWaits.load(std::memory_order_relaxed);
     stats.idleWakeups =
         _statIdleWakeups.load(std::memory_order_relaxed);
@@ -253,7 +185,6 @@ ThreadPool::resetStats()
 {
     _statBatches.store(0, std::memory_order_relaxed);
     _statStolen.store(0, std::memory_order_relaxed);
-    _statJobs.store(0, std::memory_order_relaxed);
     _statQueueWaits.store(0, std::memory_order_relaxed);
     _statIdleWakeups.store(0, std::memory_order_relaxed);
 }

@@ -13,15 +13,12 @@
  *  - the pool owns its worker threads and joins them in the
  *    destructor; jobs must not outlive the pool.
  *
- * Two submission paths:
- *  - submit(): the legacy one-job-at-a-time FIFO (mutex + condvar per
- *    job). Kept for ad-hoc host work.
- *  - submitBatch(): the sweep hot path. The batch installs one shared
- *    body and a single atomic index counter; workers *claim* indices
- *    with a lock-free fetch_add and never touch the pool mutex between
- *    indices. One notify_all wakes the pool per batch — no per-job
- *    heap-allocated std::function, no per-job lock, no thundering
- *    herd. See DESIGN.md "Sweep scaling".
+ * Work is submitted as batches (submitBatch()): the batch installs one
+ * shared body and a single atomic index counter; workers *claim*
+ * indices with a lock-free fetch_add and never touch the pool mutex
+ * between indices. One notify_all wakes the pool per batch — no
+ * per-job heap-allocated std::function, no per-job lock, no
+ * thundering herd. See DESIGN.md "Sweep scaling".
  */
 
 #ifndef COMMGUARD_COMMON_THREAD_POOL_HH
@@ -30,7 +27,6 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <mutex>
@@ -43,7 +39,7 @@ namespace commguard
 {
 
 /**
- * Fixed-size FIFO thread pool with a lock-free batch path.
+ * Fixed-size thread pool running lock-free index batches.
  */
 class ThreadPool
 {
@@ -68,30 +64,21 @@ class ThreadPool
     {
         Count batchesSubmitted = 0;  //!< submitBatch() calls.
         Count tasksStolen = 0;   //!< Batch indices claimed by workers.
-        Count jobsQueued = 0;    //!< Legacy submit() jobs enqueued.
         Count queueWaits = 0;    //!< Times a worker blocked for work.
         Count idleWakeups = 0;   //!< Wakeups that found nothing to do.
     };
 
     /**
      * Create a pool with @p threads workers. With @p threads <= 1 no
-     * worker threads are spawned and submit() runs the job inline.
+     * worker threads are spawned and batches run inline.
      */
     explicit ThreadPool(unsigned threads);
 
-    /** Drains outstanding jobs, then joins the workers. */
+    /** Waits out an open batch, then joins the workers. */
     ~ThreadPool();
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
-
-    /**
-     * Enqueue one job (runs it inline when the pool is sequential).
-     * A throwing job never propagates from submit(): the first
-     * exception of the batch is captured — identically for the inline
-     * and the worker path — and rethrown from wait().
-     */
-    void submit(std::function<void()> job);
 
     /**
      * Run @p body for every index in [0, count) across the pool and
@@ -101,18 +88,18 @@ class ThreadPool
      * sequential pool the indices run inline, in order, on the calling
      * thread with worker id 0.
      *
-     * Exception contract matches submit(): a throwing index never
-     * aborts the batch — the first exception is captured, every other
-     * index still runs, and wait() rethrows. Only one batch can be
-     * active at a time (enforced internally); submit() jobs may be
-     * queued alongside and are picked up when no batch work is open.
+     * A throwing index never aborts the batch: the first exception is
+     * captured — identically for the inline and the worker path —
+     * every other index still runs, and wait() rethrows. Only one
+     * batch can be active at a time (enforced internally).
      */
     void submitBatch(std::size_t count, const BatchBody &body);
 
     /**
-     * Block until every submitted job has finished. If any job threw,
-     * rethrows the first captured exception (subsequent exceptions of
-     * the same batch are dropped); the pool stays usable afterwards.
+     * Block until the open batch (if any) has finished. If any index
+     * threw, rethrows the first captured exception (subsequent
+     * exceptions of the same batch are dropped); the pool stays usable
+     * afterwards.
      */
     void wait();
 
@@ -142,8 +129,6 @@ class ThreadPool
     static unsigned defaultJobs();
 
   private:
-    class ActiveGuard;
-
     void workerLoop(unsigned worker);
 
     /**
@@ -171,8 +156,6 @@ class ThreadPool
     std::mutex _mutex;
     std::condition_variable _workAvailable;
     std::condition_variable _allIdle;
-    std::deque<std::function<void()>> _queue;
-    unsigned _active = 0;  //!< Jobs currently executing on workers.
     bool _stopping = false;
     std::exception_ptr _pendingException;  //!< First job failure.
 
@@ -189,7 +172,6 @@ class ThreadPool
     // Scheduling counters (relaxed; diagnostics only).
     std::atomic<Count> _statBatches{0};
     std::atomic<Count> _statStolen{0};
-    std::atomic<Count> _statJobs{0};
     std::atomic<Count> _statQueueWaits{0};
     std::atomic<Count> _statIdleWakeups{0};
 };

@@ -88,7 +88,7 @@ mtbeAxis()
 
 SampleStats
 qualitySweep(const apps::App &app, double mtbe,
-             streamit::ProtectionMode mode, Count frame_scale)
+             protection::ProtectionMode mode, Count frame_scale)
 {
     SweepRunner &runner = sharedRunner();
     for (int seed = 0; seed < seedsPerPoint; ++seed)

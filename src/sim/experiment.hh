@@ -171,6 +171,34 @@ struct RunOutcome
     }
 };
 
+/** One independent run of a sweep. */
+struct RunDescriptor
+{
+    const apps::App *app = nullptr;  //!< Not owned; must outlive run.
+    streamit::LoadOptions options;
+};
+
+/**
+ * Everything one executed run hands back to the sweep engine. The
+ * string artifacts are serialized on the worker that ran the run, so
+ * the post-batch barrier only concatenates; empty strings mean the
+ * artifact was not requested (or the run produced none, e.g. an
+ * untraced run has no trace document).
+ */
+struct ExecutedRun
+{
+    RunOutcome outcome;
+
+    /** runRecordJson(descriptor, outcome).dump() (one JSONL line). */
+    std::string recordLine;
+
+    /** perfettoTraceJson(...).dump() for traced runs. */
+    std::string traceDoc;
+
+    /** telemetryLines(...) chunk for telemetry-sampled runs. */
+    std::string telemetryChunk;
+};
+
 /**
  * Reusable per-worker run state (sweep hot path). Wraps the loader's
  * scratch; one per worker thread, never shared. Call beginBatch() at
@@ -223,7 +251,7 @@ constexpr int seedsPerPoint = 5;
  * summarize the quality.
  */
 SampleStats qualitySweep(const apps::App &app, double mtbe,
-                         streamit::ProtectionMode mode,
+                         protection::ProtectionMode mode,
                          Count frame_scale = 1);
 
 } // namespace commguard::sim

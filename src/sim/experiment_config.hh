@@ -7,7 +7,7 @@
  *
  *     const sim::RunOutcome outcome =
  *         sim::ExperimentConfig::app(jpeg)
- *             .mode(streamit::ProtectionMode::CommGuard)
+ *             .mode(protection::ProtectionMode::CommGuard)
  *             .mtbe(256'000)
  *             .seedIndex(0)
  *             .run();
@@ -50,7 +50,7 @@ class ExperimentConfig
 
     /** Protection configuration (paper Fig. 3). */
     ExperimentConfig &
-    mode(streamit::ProtectionMode value)
+    mode(protection::ProtectionMode value)
     {
         _options.mode = value;
         return *this;
@@ -198,8 +198,9 @@ class ExperimentConfig
     /**
      * The run's content address in the CG_CACHE_DIR result cache: 16
      * hex digits hashing the canonical descriptor JSON, the metric
-     * schema version, and the build stamp (docs/SHARDING.md). Requires
-     * a spec-carrying app (every factory-built app); fatal otherwise.
+     * schema version, and the build stamp — a hash of the running
+     * executable (docs/RESULT_CACHE.md). Requires a spec-carrying app
+     * (every factory-built app); fatal otherwise.
      */
     std::string cacheKey() const;
 

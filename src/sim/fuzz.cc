@@ -91,7 +91,7 @@ randomFuzzCase(std::uint64_t case_seed)
 
     // Every registered protection mode is a fuzz axis point: a new
     // backend joins the invariant sweep by registering itself.
-    const std::vector<streamit::ProtectionMode> modes =
+    const std::vector<protection::ProtectionMode> modes =
         protection::ProtectionRegistry::instance().modes();
     fuzz_case.mode = modes[rng.below(modes.size())];
     fuzz_case.injectErrors = rng.below(4) != 0;
@@ -125,7 +125,7 @@ fuzzCaseJson(const FuzzCase &fuzz_case)
     json["max_granularity"] = Json(fuzz_case.maxGranularity);
     json["allow_split_join"] = Json(fuzz_case.allowSplitJoin);
     json["mode"] =
-        Json(streamit::protectionModeName(fuzz_case.mode));
+        Json(protection::protectionModeName(fuzz_case.mode));
     json["inject_errors"] = Json(fuzz_case.injectErrors);
     json["mtbe"] = Json(fuzz_case.mtbe);
     json["frame_scale"] = Json(fuzz_case.frameScale);
@@ -411,7 +411,7 @@ shrinkFuzzCase(const FuzzCase &failing, int max_checks)
         }
         {
             FuzzCase candidate = best;
-            candidate.mode = streamit::ProtectionMode::Raw;
+            candidate.mode = protection::ProtectionMode::Raw;
             changed |= try_adopt(candidate);
         }
         {

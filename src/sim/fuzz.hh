@@ -57,7 +57,7 @@ struct FuzzCase
     int stages = 3;               //!< Pipeline stages.
     int maxGranularity = 6;       //!< Max items per firing.
     bool allowSplitJoin = true;   //!< Split-join sandwiches allowed.
-    streamit::ProtectionMode mode = streamit::ProtectionMode::CommGuard;
+    protection::ProtectionMode mode = protection::ProtectionMode::CommGuard;
     bool injectErrors = true;
     double mtbe = 64'000.0;       //!< Mean insts between errors.
     Count frameScale = 1;         //!< §5.4 frame-size knob.

@@ -54,7 +54,6 @@ namespace commguard::protection
 enum class ProtectionMode : std::uint8_t
 {
     Raw = 0,        //!< Corruptible software queues (Fig. 3b).
-    PpuOnly = Raw,  //!< Deprecated pre-registry alias for Raw.
     ReliableQueue = 1,  //!< Reliable queues, no CommGuard (Fig. 3c).
     CommGuard = 2,      //!< Reliable QM + HI + AM (Fig. 3d).
     Replicate = 3,      //!< Filter-firing replication + voting.

@@ -11,7 +11,7 @@ ReliabilityModel
 buildReliabilityModel(const apps::App &app, Count frame_scale)
 {
     streamit::LoadOptions options;
-    options.mode = streamit::ProtectionMode::CommGuard;
+    options.mode = protection::ProtectionMode::CommGuard;
     options.injectErrors = false;
     options.frameScale = frame_scale;
 

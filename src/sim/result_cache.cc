@@ -1,7 +1,6 @@
 #include "sim/result_cache.hh"
 
 #include <chrono>
-#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -17,28 +16,6 @@
 
 namespace commguard::sim
 {
-
-namespace
-{
-
-std::string
-fnv1a64Hex(const std::string &bytes)
-{
-    std::uint64_t hash = 1469598103934665603ull;
-    for (unsigned char c : bytes) {
-        hash ^= c;
-        hash *= 1099511628211ull;
-    }
-    static const char digits[] = "0123456789abcdef";
-    std::string hex(16, '0');
-    for (int i = 15; i >= 0; --i) {
-        hex[static_cast<std::size_t>(i)] = digits[hash & 0xF];
-        hash >>= 4;
-    }
-    return hex;
-}
-
-} // namespace
 
 ResultCache::ResultCache(std::string directory)
     : _directory(std::move(directory))
@@ -218,8 +195,8 @@ ResultCache::process()
         if (dir == nullptr || *dir == '\0')
             return nullptr;
         auto *cache = new ResultCache(dir);
-        // Writers killed mid-store() (a dead shard worker, a ^C'd
-        // sweep) leave "<key>.json.tmp.<pid>" files behind forever;
+        // Writers killed mid-store() (a ^C'd or fatal()ed sweep)
+        // leave "<key>.json.tmp.<pid>" files behind forever;
         // reclaim stale ones whenever the shared cache opens.
         cache->sweepOrphans();
         return cache;
@@ -230,7 +207,9 @@ ResultCache::process()
 bool
 runCacheable(const RunDescriptor &descriptor)
 {
-    return runShippable(descriptor);
+    return !descriptor.app->spec.empty() &&
+           !descriptor.options.machine.traceEvents &&
+           descriptor.options.machine.telemetrySlices == 0;
 }
 
 } // namespace commguard::sim

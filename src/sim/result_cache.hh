@@ -10,11 +10,13 @@
  * scripts/check.sh gates on.
  *
  * Key = FNV-1a 64 over the canonical descriptor JSON bytes, the
- * metric schema version, and the library build stamp (docs/SHARDING.md
- * defines the exact preimage). Entries self-describe: each stores the
- * full descriptor JSON it was keyed from, and lookup() re-compares it
- * against the request, so even a 64-bit hash collision degrades to a
- * miss rather than a wrong result.
+ * metric schema version, and the build stamp — a hash of the running
+ * executable (docs/RESULT_CACHE.md defines the exact preimage). A
+ * rebuilt binary therefore never replays another build's results.
+ * Entries self-describe: each stores the full descriptor JSON it was
+ * keyed from, and lookup() re-compares it against the request, so
+ * even a 64-bit hash collision degrades to a miss rather than a wrong
+ * result.
  *
  * Entry format (one canonical-JSON document per file, named
  * <key>.json): {"descriptor": ..., "output": "<hex words>",
@@ -29,7 +31,7 @@
 #include <atomic>
 #include <string>
 
-#include "sim/run_executor.hh"
+#include "sim/experiment.hh"
 
 namespace commguard::sim
 {
@@ -55,13 +57,13 @@ class ResultCache
      * The content address of @p descriptor: 16 lowercase hex digits of
      * FNV-1a 64 over descriptorJson(descriptor).dump() + "\n" +
      * metrics::kSchemaVersion + "\n" + buildStamp(). fatal() when the
-     * descriptor is not shippable (no App::spec).
+     * app carries no App::spec.
      */
     static std::string keyFor(const RunDescriptor &descriptor);
 
     /**
      * Replay the cached result of @p descriptor into @p out (outcome +
-     * recordLine; shippable runs have no trace/telemetry artifacts).
+     * recordLine; cacheable runs have no trace/telemetry artifacts).
      * False on a missing, unreadable, mismatched or malformed entry —
      * the caller executes the run as if the cache did not exist.
      */
@@ -81,7 +83,7 @@ class ResultCache
 
     /**
      * Delete orphaned temp files (`<key>.json.tmp.<pid>`) left behind
-     * by writers killed mid-store(), e.g. a shard worker dying between
+     * by writers killed mid-store(), e.g. a sweep interrupted between
      * the temp write and the rename. Only files whose mtime is at
      * least @p grace_seconds old are removed, so temp files of live
      * concurrent writers survive. Returns the number deleted (also
@@ -106,7 +108,7 @@ class ResultCache
 
 /**
  * Whether @p descriptor's result may be served from or stored to a
- * cache: exactly runShippable() — the app must be reconstructable and
+ * cache: the app must carry a spec (its identity inside the key) and
  * the run must carry no trace/telemetry request (those artifacts are
  * not cached, and serving a hit would silently drop them).
  */

@@ -1,5 +1,7 @@
 #include "sim/run_codec.hh"
 
+#include <cstdint>
+#include <fstream>
 #include <utility>
 
 #include "apps/app.hh"
@@ -13,69 +15,29 @@ namespace commguard::sim
 namespace
 {
 
-/** Strict helpers mirroring apps::makeAppFromSpec's: a wire
- *  descriptor with a missing or mistyped field is a protocol error,
- *  reported through descriptorFromJson's (false, *error) channel. */
-const Json *
-findField(const Json &object, const std::string &key,
-          std::string *error)
+constexpr std::uint64_t kFnvOffsetBasis = 14695981039346656037ull;
+
+/** Fold @p size bytes into the running FNV-1a 64 state @p hash. */
+std::uint64_t
+fnv1a64(std::uint64_t hash, const char *bytes, std::size_t size)
 {
-    const Json *value = object.find(key);
-    if (value == nullptr)
-        *error = "descriptor lacks '" + key + "'";
-    return value;
+    for (std::size_t i = 0; i < size; ++i) {
+        hash ^= static_cast<unsigned char>(bytes[i]);
+        hash *= 1099511628211ull;
+    }
+    return hash;
 }
 
-bool
-fieldCount(const Json &object, const std::string &key, Count *out,
-           std::string *error)
+std::string
+hex64(std::uint64_t value)
 {
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isNumber()) {
-        *error = "descriptor field '" + key + "' is not a number";
-        return false;
+    static const char digits[] = "0123456789abcdef";
+    std::string hex(16, '0');
+    for (int i = 15; i >= 0; --i) {
+        hex[static_cast<std::size_t>(i)] = digits[value & 0xF];
+        value >>= 4;
     }
-    *out = value->counter();
-    return true;
-}
-
-bool
-fieldDouble(const Json &object, const std::string &key, double *out,
-            std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isNumber()) {
-        *error = "descriptor field '" + key + "' is not a number";
-        return false;
-    }
-    *out = value->number();
-    return true;
-}
-
-bool
-fieldBool(const Json &object, const std::string &key, bool *out,
-          std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isBool()) {
-        *error = "descriptor field '" + key + "' is not a boolean";
-        return false;
-    }
-    *out = value->boolean();
-    return true;
-}
-
-bool
-fieldString(const Json &object, const std::string &key,
-            std::string *out, std::string *error)
-{
-    const Json *value = findField(object, key, error);
-    if (value == nullptr || !value->isString()) {
-        *error = "descriptor field '" + key + "' is not a string";
-        return false;
-    }
-    *out = value->str();
-    return true;
+    return hex;
 }
 
 int
@@ -96,7 +58,7 @@ descriptorJson(const RunDescriptor &descriptor)
     const apps::App &app = *descriptor.app;
     if (app.spec.empty())
         fatal("descriptorJson: app '" + app.name +
-              "' carries no spec (gate on runShippable() first)");
+              "' carries no spec (gate on runCacheable() first)");
     Json app_spec;
     std::string error;
     if (!Json::parse(app.spec, app_spec, &error))
@@ -153,162 +115,6 @@ descriptorJson(const RunDescriptor &descriptor)
     return json;
 }
 
-const apps::App &
-AppCache::fromSpec(const std::string &spec)
-{
-    auto it = _bySpec.find(spec);
-    if (it == _bySpec.end())
-        it = _bySpec.emplace(spec, apps::makeAppFromSpec(spec)).first;
-    return it->second;
-}
-
-bool
-descriptorFromJson(const Json &json, AppCache &apps,
-                   RunDescriptor *out, std::string *error)
-{
-    if (!json.isObject()) {
-        *error = "descriptor is not a JSON object";
-        return false;
-    }
-
-    const Json *app_spec = json.find("app_spec");
-    if (app_spec == nullptr || !app_spec->isObject()) {
-        *error = "descriptor field 'app_spec' is not an object";
-        return false;
-    }
-    const apps::App &app = apps.fromSpec(app_spec->dump());
-
-    std::string app_name;
-    if (!fieldString(json, "app", &app_name, error))
-        return false;
-    if (app_name != app.name) {
-        *error = "descriptor app '" + app_name +
-                 "' does not match spec-built app '" + app.name + "'";
-        return false;
-    }
-
-    streamit::LoadOptions o;
-    std::string mode_name;
-    if (!fieldString(json, "protection_mode", &mode_name, error))
-        return false;
-    if (!protection::tryParseProtectionMode(mode_name, &o.mode)) {
-        *error = "unknown protection mode '" + mode_name + "'";
-        return false;
-    }
-
-    Count count = 0;
-    if (!fieldBool(json, "inject_errors", &o.injectErrors, error) ||
-        !fieldDouble(json, "mtbe", &o.mtbe, error) ||
-        !fieldCount(json, "seed", &count, error))
-        return false;
-    o.seed = count;
-    if (!fieldBool(json, "flip_all_registers", &o.flipAllRegisters,
-                   error) ||
-        !fieldCount(json, "frame_scale", &o.frameScale, error) ||
-        !fieldBool(json, "guard_source_edge", &o.guardSourceEdge,
-                   error) ||
-        !fieldBool(json, "frame_aligned_output", &o.frameAlignedOutput,
-                   error))
-        return false;
-
-    const Json *per_core = json.find("per_core_mtbe");
-    if (per_core == nullptr || !per_core->isArray()) {
-        *error = "descriptor field 'per_core_mtbe' is not an array";
-        return false;
-    }
-    o.perCoreMtbe.clear();
-    for (const Json &m_core : per_core->arr()) {
-        if (!m_core.isNumber()) {
-            *error = "per_core_mtbe entry is not a number";
-            return false;
-        }
-        o.perCoreMtbe.push_back(m_core.number());
-    }
-
-    const Json *per_node = json.find("per_node_frame_scale");
-    if (per_node == nullptr || !per_node->isArray()) {
-        *error = "descriptor field 'per_node_frame_scale' is not an "
-                 "array";
-        return false;
-    }
-    o.perNodeFrameScale.clear();
-    for (const Json &scale : per_node->arr()) {
-        if (!scale.isNumber()) {
-            *error = "per_node_frame_scale entry is not a number";
-            return false;
-        }
-        o.perNodeFrameScale.push_back(scale.counter());
-    }
-
-    double replicas = 0.0;
-    if (!fieldDouble(json, "replicas", &replicas, error))
-        return false;
-    o.replicas = static_cast<int>(replicas);
-    if (!fieldCount(json, "queue_capacity_words", &count, error))
-        return false;
-    o.queueCapacityWords = static_cast<std::size_t>(count);
-
-    const Json *machine = json.find("machine");
-    if (machine == nullptr || !machine->isObject()) {
-        *error = "descriptor field 'machine' is not an object";
-        return false;
-    }
-    MachineConfig &m = o.machine;
-    if (!fieldCount(*machine, "slice_instructions",
-                    &m.sliceInstructions, error) ||
-        !fieldCount(*machine, "timeout_rounds", &m.timeoutRounds,
-                    error) ||
-        !fieldCount(*machine, "global_watchdog_insts",
-                    &m.globalWatchdogInsts, error))
-        return false;
-
-    const Json *timing = machine->find("timing");
-    if (timing == nullptr || !timing->isObject()) {
-        *error = "descriptor field 'machine.timing' is not an object";
-        return false;
-    }
-    if (!fieldCount(*timing, "mem_extra_cycles", &count, error))
-        return false;
-    m.timing.memExtraCycles = count;
-    if (!fieldCount(*timing, "queue_op_cycles", &count, error))
-        return false;
-    m.timing.queueOpCycles = count;
-    if (!fieldCount(*timing, "frame_flush_cycles", &count, error))
-        return false;
-    m.timing.frameFlushCycles = count;
-
-    const Json *ppu = machine->find("ppu");
-    if (ppu == nullptr || !ppu->isObject()) {
-        *error = "descriptor field 'machine.ppu' is not an object";
-        return false;
-    }
-    if (!fieldCount(*ppu, "watchdog_multiplier",
-                    &m.ppu.watchdogMultiplier, error) ||
-        !fieldCount(*ppu, "default_scope_budget",
-                    &m.ppu.defaultScopeBudget, error) ||
-        !fieldCount(*ppu, "max_scope_budget", &m.ppu.maxScopeBudget,
-                    error) ||
-        !fieldBool(*ppu, "enforce_nested_scopes",
-                   &m.ppu.enforceNestedScopes, error))
-        return false;
-    double depth = 0.0;
-    if (!fieldDouble(*ppu, "max_scope_depth", &depth, error))
-        return false;
-    m.ppu.maxScopeDepth = static_cast<int>(depth);
-
-    out->app = &app;
-    out->options = std::move(o);
-    return true;
-}
-
-bool
-runShippable(const RunDescriptor &descriptor)
-{
-    return !descriptor.app->spec.empty() &&
-           !descriptor.options.machine.traceEvents &&
-           descriptor.options.machine.telemetrySlices == 0;
-}
-
 std::string
 encodeWords(const std::vector<Word> &words)
 {
@@ -352,13 +158,33 @@ outcomeFromRecord(const Json &record, std::vector<Word> output)
     return outcome;
 }
 
+std::string
+fnv1a64Hex(const std::string &bytes)
+{
+    return hex64(fnv1a64(kFnvOffsetBasis, bytes.data(), bytes.size()));
+}
+
+std::string
+fnv1a64FileHex(const std::string &path)
+{
+    std::ifstream file(path, std::ios::binary);
+    std::vector<char> chunk(std::size_t{1} << 16);
+    std::uint64_t hash = kFnvOffsetBasis;
+    while (file.read(chunk.data(),
+                     static_cast<std::streamsize>(chunk.size())) ||
+           file.gcount() > 0) {
+        hash = fnv1a64(hash, chunk.data(),
+                       static_cast<std::size_t>(file.gcount()));
+    }
+    if (!file.eof())
+        fatal("run_codec: cannot read '" + path + "' to hash it");
+    return hex64(hash);
+}
+
 const std::string &
 buildStamp()
 {
-    // __DATE__/__TIME__ of the sim library build: every binary linking
-    // cg_sim (cg_bench, cg_tests, ...) shares one stamp, so a serve
-    // process accepts workers spawned from any same-build binary.
-    static const std::string stamp = __DATE__ " " __TIME__;
+    static const std::string stamp = fnv1a64FileHex("/proc/self/exe");
     return stamp;
 }
 

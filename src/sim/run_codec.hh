@@ -1,40 +1,36 @@
 /**
  * @file
- * Canonical wire format for runs crossing a process boundary.
+ * Canonical encodings of runs for the on-disk result cache.
  *
- * Three consumers share these encodings (docs/SHARDING.md):
+ * Two consumers share these encodings (docs/RESULT_CACHE.md):
  *
- *  - the shard protocol (sim/shard.hh): `cg_bench serve` ships each
- *    RunDescriptor to a worker process as canonical JSON and receives
- *    the run record + output stream back;
  *  - the result cache (sim/result_cache.hh): the descriptor JSON is
  *    the content address — its bytes, plus the metric schema version
- *    and the library build stamp, hash into the cache key;
+ *    and the build stamp, hash into the cache key — and an entry
+ *    stores the run record plus the hex-encoded output stream;
  *  - ExperimentConfig::cacheKey(), the user-facing form of the same.
  *
  * The descriptor encoding covers exactly the LoadOptions fields that
  * can change a run's outcome. Observability knobs (event tracing,
  * telemetry sampling) are deliberately excluded: runs carrying them
- * are neither shipped nor cached (runShippable()), because a trace or
- * telemetry ring cannot cross the process boundary or be replayed
- * from a cache entry.
+ * are never cached (runCacheable()), because a trace or telemetry
+ * ring cannot be replayed from a cache entry.
  *
  * STABILITY: descriptorJson() output is pinned by a golden-bytes test
  * (tests/experiment_config_test.cc). Any key change silently
- * invalidates every existing cache entry and breaks mixed-version
- * serve/worker pairs — change it only together with that test and a
- * schema-version discussion in docs/SHARDING.md.
+ * invalidates every existing cache entry — change it only together
+ * with that test and a schema-version discussion in
+ * docs/RESULT_CACHE.md.
  */
 
 #ifndef COMMGUARD_SIM_RUN_CODEC_HH
 #define COMMGUARD_SIM_RUN_CODEC_HH
 
-#include <map>
 #include <string>
 #include <vector>
 
 #include "common/json.hh"
-#include "sim/run_executor.hh"
+#include "sim/experiment.hh"
 
 namespace commguard::sim
 {
@@ -44,41 +40,9 @@ namespace commguard::sim
  * (App::spec, parsed) plus every outcome-affecting LoadOptions and
  * MachineConfig field, with sorted keys so equal descriptors are
  * byte-equal. fatal() when the app carries no spec — callers gate on
- * runShippable() first.
+ * runCacheable() first.
  */
 Json descriptorJson(const RunDescriptor &descriptor);
-
-/**
- * Per-process cache of reconstructed apps, keyed by spec text: a
- * worker process sees the same handful of specs thousands of times
- * and App construction (graph assembly, reference codecs) dwarfs a
- * map lookup. Not thread-safe; one per worker loop. Map nodes are
- * stable, so returned App pointers stay valid for the cache lifetime.
- */
-class AppCache
-{
-  public:
-    /** The app for @p spec, built on first use via makeAppFromSpec. */
-    const apps::App &fromSpec(const std::string &spec);
-
-  private:
-    std::map<std::string, apps::App> _bySpec;
-};
-
-/**
- * Rebuild a descriptor from descriptorJson() output. Returns false
- * (setting @p error) on missing/mistyped fields; the app pointer
- * references @p apps, which must outlive the descriptor.
- */
-bool descriptorFromJson(const Json &json, AppCache &apps,
-                        RunDescriptor *out, std::string *error);
-
-/**
- * Whether @p descriptor may leave this process (shard worker) or
- * outlive it (cache entry): the app must carry a reconstruction spec
- * and the run must not request an event trace or telemetry sampling.
- */
-bool runShippable(const RunDescriptor &descriptor);
 
 /** Lowercase hex encoding of an output stream, 8 chars per word. */
 std::string encodeWords(const std::vector<Word> &words);
@@ -89,17 +53,28 @@ bool decodeWords(const std::string &hex, std::vector<Word> *out);
 /**
  * Rebuild a RunOutcome from its JSONL run record (runRecordJson
  * output — the snapshot round-trips exactly) plus the separately
- * shipped output stream. The trace and telemetry handles are null by
- * construction: shippable runs never carry them.
+ * stored output stream. The trace and telemetry handles are null by
+ * construction: cacheable runs never carry them.
  */
 RunOutcome outcomeFromRecord(const Json &record,
                              std::vector<Word> output);
 
+/** FNV-1a 64 of @p bytes as 16 lowercase hex digits. */
+std::string fnv1a64Hex(const std::string &bytes);
+
 /**
- * Build stamp of the sim library (compile date/time of this
- * translation unit): part of every cache key and of the shard hello
- * handshake, so entries and workers from a different build are
- * rejected instead of trusted.
+ * fnv1a64Hex() of the contents of the file at @p path, streamed in
+ * fixed-size chunks (executables run to tens of MB). fatal() when the
+ * file cannot be read.
+ */
+std::string fnv1a64FileHex(const std::string &path);
+
+/**
+ * Build stamp of the running binary: fnv1a64FileHex() of the
+ * executable (/proc/self/exe), hashed once on first use — so only
+ * processes that consult the cache pay for it. Part of every cache
+ * key, so entries written by any other build, even one where a single
+ * unrelated translation unit changed, are never replayed.
  */
 const std::string &buildStamp();
 

@@ -16,7 +16,7 @@ runRecordJson(const RunDescriptor &descriptor,
     Json record = metrics::snapshotToJson(outcome.snapshot);
     record["app"] = Json(descriptor.app->name);
     record["protection_mode"] =
-        Json(streamit::protectionModeName(descriptor.options.mode));
+        Json(protection::protectionModeName(descriptor.options.mode));
     record["inject_errors"] = Json(descriptor.options.injectErrors);
     record["mtbe"] = Json(descriptor.options.mtbe);
     record["seed"] = Json(Count{descriptor.options.seed});

@@ -54,7 +54,7 @@ ScenarioContext::fromEnv()
     return ScenarioContext(optionsFromEnv());
 }
 
-std::vector<streamit::ProtectionMode>
+std::vector<protection::ProtectionMode>
 ScenarioContext::modesToRun() const
 {
     if (!_options.modeFilter.empty())
@@ -108,7 +108,7 @@ ScenarioContext::runOne(const RunDescriptor &descriptor) const
 
 std::vector<double>
 ScenarioContext::qualitySamples(const apps::App &app,
-                                streamit::ProtectionMode mode,
+                                protection::ProtectionMode mode,
                                 bool inject, double mtbe,
                                 Count frame_scale) const
 {

@@ -74,7 +74,7 @@ class ScenarioContext
          * --mode). Empty = every registered mode. Scenarios that sweep
          * modes must loop over modesToRun(), not the registry.
          */
-        std::vector<streamit::ProtectionMode> modeFilter;
+        std::vector<protection::ProtectionMode> modeFilter;
     };
 
     explicit ScenarioContext(Options options);
@@ -95,7 +95,7 @@ class ScenarioContext
      * modeFilter when set, otherwise every registered mode in registry
      * (id) order.
      */
-    std::vector<streamit::ProtectionMode> modesToRun() const;
+    std::vector<protection::ProtectionMode> modesToRun() const;
 
     /** Sweep dimensions for this context's quick/full setting. */
     const SweepAxes &axes() const { return _axes; }
@@ -140,7 +140,7 @@ class ScenarioContext
      * quality samples (fanned out like runSweep()).
      */
     std::vector<double>
-    qualitySamples(const apps::App &app, streamit::ProtectionMode mode,
+    qualitySamples(const apps::App &app, protection::ProtectionMode mode,
                    bool inject, double mtbe,
                    Count frame_scale = 1) const;
 

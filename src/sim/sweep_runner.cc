@@ -11,7 +11,6 @@
 #include "sim/env_options.hh"
 #include "sim/result_cache.hh"
 #include "sim/run_export.hh"
-#include "sim/shard.hh"
 #include "sim/telemetry_export.hh"
 #include "sim/trace_export.hh"
 
@@ -36,7 +35,7 @@ constexpr double progressQuietSeconds = 2.0;
 } // namespace
 
 streamit::LoadOptions
-sweepOptions(streamit::ProtectionMode mode, bool inject_errors,
+sweepOptions(protection::ProtectionMode mode, bool inject_errors,
              double mtbe, int seed_index, Count frame_scale)
 {
     streamit::LoadOptions options;
@@ -50,14 +49,8 @@ sweepOptions(streamit::ProtectionMode mode, bool inject_errors,
 }
 
 SweepRunner::SweepRunner(unsigned jobs, Caching caching)
-    : _executor(std::make_unique<LocalExecutor>(jobs)),
-      _caching(caching)
-{
-}
-
-SweepRunner::SweepRunner(std::unique_ptr<RunExecutor> executor,
-                         Caching caching)
-    : _executor(std::move(executor)), _caching(caching)
+    : _pool(jobs == 0 ? ThreadPool::defaultJobs() : jobs),
+      _scratches(_pool.jobs()), _caching(caching)
 {
 }
 
@@ -104,23 +97,13 @@ SweepRunner::runAll()
             ? ResultCache::process()
             : nullptr;
 
-    std::vector<ExecutedRun> runs(batch.size());
-
-    ExecutionRequest request;
-    request.wantRecords = want_jsonl || cache != nullptr;
-    request.wantTraceDocs = want_traces;
-    request.wantTelemetry = want_telemetry;
-    request.onRunDone = [this](std::size_t,
-                               const RunDescriptor &descriptor,
-                               const RunOutcome &outcome) {
-        finishRun(descriptor, outcome);
-    };
+    const bool want_records = want_jsonl || cache != nullptr;
 
     // Stream-wide run index base, taken on the submitting thread:
     // batch composition never depends on the job count, so run_index
     // assignment (and with it the stream's bytes) stays deterministic.
     static std::atomic<Count> telemetry_run_serial{0};
-    request.telemetryBase =
+    const Count telemetry_base =
         want_telemetry ? telemetry_run_serial.fetch_add(
                              batch.size(), std::memory_order_relaxed)
                        : 0;
@@ -128,40 +111,48 @@ SweepRunner::runAll()
     // Cache replay pass: hits fill their submission-order slot
     // directly (the stored recordLine is the very dump() a fresh run
     // would produce, so downstream bytes cannot tell the difference);
-    // misses execute on the backend.
-    std::vector<char> from_cache(batch.size(), 0);
-    if (cache != nullptr) {
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            if (runCacheable(batch[i]) &&
-                cache->lookup(batch[i], &runs[i])) {
-                from_cache[i] = 1;
-                finishRun(batch[i], runs[i].outcome);
-            }
-        }
-    }
-
+    // misses are left pending for the pool.
+    std::vector<ExecutedRun> runs(batch.size());
     std::vector<std::size_t> pending;
     pending.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        if (!from_cache[i])
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+        if (cache != nullptr && runCacheable(batch[i]) &&
+            cache->lookup(batch[i], &runs[i]))
+            finishRun(batch[i], runs[i].outcome);
+        else
             pending.push_back(i);
-
-    if (pending.size() == batch.size()) {
-        // Nothing replayed: hand the batch over untouched (the common
-        // path, and the one where sub-indices must equal submission
-        // indices for telemetryBase + i to be right — telemetry-on
-        // batches always take it, since telemetry disables the cache).
-        _executor->execute(batch, request, runs);
-    } else if (!pending.empty()) {
-        std::vector<RunDescriptor> sub_batch;
-        sub_batch.reserve(pending.size());
-        for (std::size_t i : pending)
-            sub_batch.push_back(batch[i]);
-        std::vector<ExecutedRun> sub_runs(pending.size());
-        _executor->execute(sub_batch, request, sub_runs);
-        for (std::size_t s = 0; s < pending.size(); ++s)
-            runs[pending[s]] = std::move(sub_runs[s]);
     }
+
+    // One scratch per pool job slot, reused batch over batch (the
+    // freelists inside keep the big per-run buffers warm). beginBatch
+    // drops caches keyed by graph addresses that may have been reused
+    // since the last batch.
+    for (RunScratch &scratch : _scratches)
+        scratch.beginBatch();
+
+    // Pending runs execute in place: runs[i] depends only on
+    // batch[i], never on which worker or scratch served it. Telemetry
+    // chunks are numbered by submission index (telemetry-on batches
+    // never consult the cache, so every index is pending).
+    _pool.submitBatch(
+        pending.size(), [&](unsigned worker, std::size_t p) {
+            const std::size_t i = pending[p];
+            const RunDescriptor &descriptor = batch[i];
+            ExecutedRun &run = runs[i];
+            run.outcome = runOnce(*descriptor.app, descriptor.options,
+                                  &_scratches[worker]);
+            if (want_records)
+                run.recordLine =
+                    runRecordJson(descriptor, run.outcome).dump();
+            if (want_traces && run.outcome.eventTrace != nullptr)
+                run.traceDoc =
+                    perfettoTraceJson(*run.outcome.eventTrace).dump();
+            if (want_telemetry)
+                run.telemetryChunk = telemetryLines(
+                    descriptor, run.outcome, telemetry_base + i);
+            finishRun(descriptor, run.outcome);
+        });
+    _pool.wait();  // Rethrows the batch's first exception, if any.
 
     if (cache != nullptr) {
         for (std::size_t i : pending)
@@ -198,8 +189,8 @@ SweepRunner::runAll()
         for (ExecutedRun &run : runs)
             telemetry_chunks.push_back(std::move(run.telemetryChunk));
         appendJsonl(env.telemetryOut, telemetry_chunks);
-        telemetryReportAdd(batch, outcomes, _executor->poolStats(),
-                           _executor->jobs(),
+        telemetryReportAdd(batch, outcomes, _pool.stats(),
+                           _pool.jobs(),
                            monotonicSeconds() - _startSeconds);
         writeTelemetryReport(env.telemetryOut + ".html");
     }
@@ -223,7 +214,7 @@ SweepRunner::runAll()
                 const std::string path =
                     env.traceOut + "/trace_" + std::to_string(n) +
                     "_" + batch[i].app->name + "_" +
-                    streamit::protectionModeName(
+                    protection::protectionModeName(
                         batch[i].options.mode) +
                     "_seed" +
                     std::to_string(batch[i].options.seed) + ".json";
@@ -279,35 +270,29 @@ SweepRunner::reportProgress(std::size_t done)
     _nextPrintSeconds.store(now + progressQuietSeconds,
                             std::memory_order_relaxed);
     std::fprintf(stderr, "[sweep] %zu/%zu runs (%.0fs, %u jobs)\n",
-                 done, _total, now - _startSeconds,
-                 _executor->jobs());
+                 done, _total, now - _startSeconds, _pool.jobs());
 }
 
 SweepRunner &
 sharedRunner()
 {
-    static SweepRunner *runner = []() {
-        if (const ShardPlan *plan = processShardPlan())
-            return new SweepRunner(
-                std::make_unique<ShardExecutor>(*plan));
-        return new SweepRunner();
-    }();
+    // Deliberately never destroyed: fatal() inside a pool worker exits
+    // the process mid-batch, and joining the pool from an exit-time
+    // destructor would then wait on that very batch forever.
+    static SweepRunner *const runner = new SweepRunner();
 
-    if (std::string(runner->executorName()) == "local") {
-        // The pool width was pinned when the first caller constructed
-        // the runner: a later CG_JOBS change (setenv from test or
-        // bench code) silently does not apply, so surface the
-        // mismatch once.
-        const unsigned wanted = ThreadPool::defaultJobs();
-        if (wanted != runner->jobs()) {
-            static std::atomic<bool> warned{false};
-            if (!warned.exchange(true)) {
-                warn("sharedRunner: pool width pinned at " +
-                     std::to_string(runner->jobs()) +
-                     " jobs at first use; current CG_JOBS asks for " +
-                     std::to_string(wanted) +
-                     " — construct a private SweepRunner for that");
-            }
+    // The pool width was pinned when the first caller constructed the
+    // runner: a later CG_JOBS change (setenv from test or bench code)
+    // silently does not apply, so surface the mismatch once.
+    const unsigned wanted = ThreadPool::defaultJobs();
+    if (wanted != runner->jobs()) {
+        static std::atomic<bool> warned{false};
+        if (!warned.exchange(true)) {
+            warn("sharedRunner: pool width pinned at " +
+                 std::to_string(runner->jobs()) +
+                 " jobs at first use; current CG_JOBS asks for " +
+                 std::to_string(wanted) +
+                 " — construct a private SweepRunner for that");
         }
     }
     return *runner;

@@ -6,23 +6,22 @@
  * of independent runs: each (app, mode, mtbe, seed, frameScale)
  * descriptor builds its own self-contained Multicore with per-core
  * seeded RNGs, so runs share no mutable state. SweepRunner owns the
- * *what* of a sweep — the queued descriptors, submission-order result
- * collection, progress reporting, artifact writes — and delegates the
- * *where* to a RunExecutor (sim/run_executor.hh): the in-process
- * ThreadPool by default, OS worker processes when a shard plan is
- * installed (sim/shard.hh), with an optional content-addressed result
- * cache in front of either (sim/result_cache.hh, CG_CACHE_DIR).
+ * whole sweep — the queued descriptors, the ThreadPool that executes
+ * them, one reusable RunScratch per pool job slot, submission-order
+ * result collection, progress reporting and artifact writes — with an
+ * optional content-addressed result cache in front
+ * (sim/result_cache.hh, CG_CACHE_DIR).
  *
  * Determinism guarantee: the outcome vector is bitwise identical for
- * any job count, shard count, and cache hit/miss history, because all
- * randomness lives in per-run seeded RNGs and the engine only decides
- * *when/where* a run executes, never what it computes. Export
- * artifacts (CG_JSONL lines, Perfetto trace documents) are *serialized*
- * where the run executed and *written* after the batch in submission
- * order, so file bytes carry the same independence.
+ * any job count and cache hit/miss history, because all randomness
+ * lives in per-run seeded RNGs and the engine only decides *when* a
+ * run executes, never what it computes. Export artifacts (CG_JSONL
+ * lines, Perfetto trace documents) are *serialized* on the worker that
+ * ran the run and *written* after the batch in submission order, so
+ * file bytes carry the same independence.
  *
- * Ownership: a SweepRunner owns its executor for its whole lifetime
- * (pool workers / shard processes are reused across runAll() calls);
+ * Ownership: a SweepRunner owns its pool for its whole lifetime (pool
+ * workers and run scratches are reused across runAll() calls);
  * descriptors reference apps::App objects that must outlive runAll().
  */
 
@@ -32,13 +31,11 @@
 #include <atomic>
 #include <cstddef>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 #include "common/thread_pool.hh"
 #include "sim/experiment.hh"
-#include "sim/run_executor.hh"
 
 namespace commguard::sim
 {
@@ -47,7 +44,7 @@ namespace commguard::sim
  * Canonical sweep options for seed index @p seed_index (0-based): the
  * paper methodology's per-seed derivation shared by every bench.
  */
-streamit::LoadOptions sweepOptions(streamit::ProtectionMode mode,
+streamit::LoadOptions sweepOptions(protection::ProtectionMode mode,
                                    bool inject_errors, double mtbe,
                                    int seed_index,
                                    Count frame_scale = 1);
@@ -75,10 +72,6 @@ class SweepRunner
     explicit SweepRunner(unsigned jobs = 0,
                          Caching caching = Caching::Auto);
 
-    /** A runner on an explicit execution backend (e.g. shards). */
-    explicit SweepRunner(std::unique_ptr<RunExecutor> executor,
-                         Caching caching = Caching::Auto);
-
     /** Queue one run; returns its index in the outcome vector. */
     std::size_t enqueue(const apps::App &app,
                         const streamit::LoadOptions &options);
@@ -91,25 +84,19 @@ class SweepRunner
      */
     std::vector<RunOutcome> runAll();
 
-    /** Effective parallelism of this runner's backend. */
-    unsigned jobs() const { return _executor->jobs(); }
-
-    /** Backend name ("local", "shard") for logs and boards. */
-    const char *executorName() const { return _executor->name(); }
+    /** Effective parallelism: the pool width. */
+    unsigned jobs() const { return _pool.jobs(); }
 
     /**
-     * Host-side scheduling counters of the backend's in-process pool,
-     * when it has one (batches, stolen indices, waits/wakeups). Engine
-     * diagnostics only — never part of per-run snapshots, whose bytes
-     * must not depend on the job count. See docs/METRICS.md, "pool/".
+     * Host-side scheduling counters of the pool (batches, stolen
+     * indices, waits/wakeups). Engine diagnostics only — never part of
+     * per-run snapshots, whose bytes must not depend on the job count.
+     * See docs/METRICS.md, "pool/".
      */
-    ThreadPool::Stats poolStats() const
-    {
-        return _executor->poolStats();
-    }
+    ThreadPool::Stats poolStats() const { return _pool.stats(); }
 
     /** Reset the scheduling counters (e.g. between bench phases). */
-    void resetPoolStats() { _executor->resetPoolStats(); }
+    void resetPoolStats() { _pool.resetStats(); }
 
     // ------------------------------------------------------------------
     // Progress (readable from any thread while runAll is executing).
@@ -159,7 +146,15 @@ class SweepRunner
                    const RunOutcome &outcome);
     void reportProgress(std::size_t done);
 
-    std::unique_ptr<RunExecutor> _executor;
+    ThreadPool _pool;
+
+    /**
+     * One reusable RunScratch per pool job slot, indexed by the batch
+     * worker id (slot 0 doubles as the inline-path scratch). Lives as
+     * long as the runner so recycled buffers survive across batches.
+     */
+    std::vector<RunScratch> _scratches;
+
     Caching _caching = Caching::Auto;
     std::vector<RunDescriptor> _queued;
 
@@ -183,12 +178,9 @@ class SweepRunner
 
 /**
  * Process-wide runner shared by qualitySweep() and the bench helpers,
- * reused for every sweep. Only for use from the main thread. Backed by
- * a ShardExecutor when a process shard plan is installed
- * (setProcessShardPlan — `cg_bench run --shards=N`), by the default
- * local pool otherwise.
+ * reused for every sweep. Only for use from the main thread.
  *
- * The local pool width is pinned when the first caller constructs the
+ * The pool width is pinned when the first caller constructs the
  * runner; changing CG_JOBS later in the process (e.g. setenv() from
  * test code) does NOT re-size it. A mismatch between the pinned width
  * and the current CG_JOBS is reported once via warn() so a silently

@@ -15,7 +15,6 @@
 #include "common/telemetry.hh"
 #include "sim/env_options.hh"
 #include "sim/result_cache.hh"
-#include "sim/shard.hh"
 
 namespace commguard::sim
 {
@@ -430,7 +429,7 @@ telemetryRecordsJson(const RunDescriptor &descriptor,
             Json(telemetry::kTelemetrySchemaVersion);
         record["app"] = Json(descriptor.app->name);
         record["protection_mode"] = Json(
-            streamit::protectionModeName(descriptor.options.mode));
+            protection::protectionModeName(descriptor.options.mode));
         record["inject_errors"] =
             Json(descriptor.options.injectErrors);
         record["mtbe"] = Json(descriptor.options.mtbe);
@@ -491,7 +490,7 @@ telemetryReportAdd(const std::vector<RunDescriptor> &batch,
         const RunDescriptor &descriptor = batch[i];
         const RunOutcome &outcome = outcomes[i];
         const std::string mode =
-            streamit::protectionModeName(descriptor.options.mode);
+            protection::protectionModeName(descriptor.options.mode);
         ++state.totalRuns;
 
         if (descriptor.options.injectErrors) {
@@ -706,7 +705,7 @@ SweepHealthBoard::observe(std::size_t done, std::size_t total,
     _lastDone = done == total ? 0 : done;
 
     ModeAggregate &aggregate =
-        _modes[streamit::protectionModeName(descriptor.options.mode)];
+        _modes[protection::protectionModeName(descriptor.options.mode)];
     ++aggregate.runs;
     aggregate.repairs += outcomeRepairs(outcome);
 
@@ -725,31 +724,15 @@ SweepHealthBoard::observe(std::size_t done, std::size_t total,
          << delta(stats.idleWakeups, _batchBaseStats.idleWakeups)
          << " |";
 
-    // Cache and shard traffic (docs/METRICS.md "cache/", "shard/"):
-    // process-wide totals, shown only when the subsystem is active so
-    // plain local sweeps keep the familiar line.
+    // Cache traffic (docs/METRICS.md "cache/"): process-wide totals,
+    // shown only when the cache is on so plain sweeps keep the
+    // familiar line.
     const ResultCacheStats &cache = ResultCache::stats();
     if (ResultCache::process() != nullptr) {
         text << " cache "
              << cache.hits.load(std::memory_order_relaxed) << " hit "
              << cache.misses.load(std::memory_order_relaxed)
              << " miss |";
-    }
-    const ShardStats &shard = shardStats();
-    const Count workers =
-        shard.workersSpawned.load(std::memory_order_relaxed);
-    if (workers > 0) {
-        text << " shard " << workers << " workers "
-             << shard.resultFrames.load(std::memory_order_relaxed)
-             << " results";
-        const Count lost =
-            shard.workersLost.load(std::memory_order_relaxed);
-        if (lost > 0)
-            text << " " << lost << " lost "
-                 << shard.runsReassigned.load(
-                        std::memory_order_relaxed)
-                 << " reassigned";
-        text << " |";
     }
     for (const auto &[mode, entry] : _modes) {
         std::snprintf(buffer, sizeof buffer, " %s %.1f rep/run",

@@ -30,18 +30,11 @@
 namespace commguard::streamit
 {
 
-/**
- * Deprecated aliases (one PR): ProtectionMode now lives in
- * sim/protection.hh and is minted by the ProtectionRegistry. Existing
- * `streamit::ProtectionMode::CommGuard` spellings keep compiling.
- */
-using ProtectionMode = protection::ProtectionMode;
-using protection::protectionModeName;
-
 /** Loader options. */
 struct LoadOptions
 {
-    ProtectionMode mode = ProtectionMode::CommGuard;
+    protection::ProtectionMode mode =
+        protection::ProtectionMode::CommGuard;
 
     /** False models fully error-free cores (Fig. 3a / overhead runs). */
     bool injectErrors = true;

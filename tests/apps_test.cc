@@ -19,7 +19,7 @@ namespace
 {
 
 using apps::App;
-using streamit::ProtectionMode;
+using protection::ProtectionMode;
 
 sim::RunOutcome
 runErrorFree(const App &app, ProtectionMode mode)
@@ -89,7 +89,7 @@ TEST_P(AppCase, ExtremeErrorRatesAlwaysComplete)
 {
     const App app = makeSmallApp(GetParam());
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         const sim::RunOutcome outcome = sim::ExperimentConfig::app(app)
                                             .mode(mode)
@@ -98,7 +98,7 @@ TEST_P(AppCase, ExtremeErrorRatesAlwaysComplete)
                                             .run();
         EXPECT_TRUE(outcome.completed)
             << GetParam() << " under "
-            << streamit::protectionModeName(mode);
+            << protection::protectionModeName(mode);
         EXPECT_TRUE(std::isfinite(outcome.qualityDb) ||
                     std::isinf(outcome.qualityDb));
     }

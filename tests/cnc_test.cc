@@ -113,7 +113,7 @@ TEST(Cnc, ErrorFreeExecutionComputesTheProgram)
     }
 
     streamit::LoadOptions options;
-    options.mode = streamit::ProtectionMode::CommGuard;
+    options.mode = protection::ProtectionMode::CommGuard;
     options.injectErrors = false;
     streamit::LoadedApp app =
         streamit::loadGraph(g, input, tags, options);
@@ -136,7 +136,7 @@ TEST(Cnc, TagsBecomeFrameHeaders)
     std::vector<Word> input(2 * tags, floatToWord(1.0f));
 
     streamit::LoadOptions options;
-    options.mode = streamit::ProtectionMode::CommGuard;
+    options.mode = protection::ProtectionMode::CommGuard;
     options.injectErrors = false;
     streamit::LoadedApp app =
         streamit::loadGraph(g, input, tags, options);
@@ -162,7 +162,7 @@ TEST(Cnc, ErroneousExecutionStillCompletes)
 
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
         streamit::LoadOptions options;
-        options.mode = streamit::ProtectionMode::CommGuard;
+        options.mode = protection::ProtectionMode::CommGuard;
         options.injectErrors = true;
         options.mtbe = 5'000;
         options.seed = seed;

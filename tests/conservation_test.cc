@@ -21,7 +21,7 @@ namespace
 {
 
 using streamit::LoadOptions;
-using streamit::ProtectionMode;
+using protection::ProtectionMode;
 
 void
 expectConservation(streamit::LoadedApp &app, const std::string &label)
@@ -95,7 +95,7 @@ TEST_P(Conservation, ErroneousQueuesStillBalance)
         ASSERT_TRUE(loaded.run().completed);
         expectConservation(loaded,
                            GetParam() + std::string("/") +
-                               streamit::protectionModeName(mode));
+                               protection::protectionModeName(mode));
     }
     // (SoftwareQueue is exempt: pointer corruption *is* word loss —
     // that is the Fig. 3b failure mode.)
@@ -113,9 +113,9 @@ TEST_P(Conservation, SnapshotCountersConserve)
 {
     const apps::App app = makeSmallApp(GetParam());
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
-        SCOPED_TRACE(streamit::protectionModeName(mode));
+        SCOPED_TRACE(protection::protectionModeName(mode));
         const sim::RunOutcome outcome = sim::ExperimentConfig::app(app)
                                             .mode(mode)
                                             .mtbe(256'000)

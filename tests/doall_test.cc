@@ -28,6 +28,8 @@ namespace
 
 using namespace isa;
 using namespace streamit;
+using protection::ProtectionMode;
+using protection::protectionModeName;
 
 constexpr int numWorkers = 4;
 constexpr int chunkItems = 8;
@@ -206,7 +208,7 @@ TEST(DoAll, CompletesUnderExtremeErrorsInAllModes)
         iterations * numWorkers * chunkItems, floatToWord(1.0f));
 
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;

@@ -125,7 +125,7 @@ TEST(EventTraceRun, DisabledByDefault)
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(256'000)
             .seedIndex(0)
             .run();
@@ -133,7 +133,7 @@ TEST(EventTraceRun, DisabledByDefault)
 
     const Json record = runRecordJson(
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(256'000)
             .seedIndex(0)
             .descriptor(),
@@ -146,7 +146,7 @@ TEST(EventTraceRun, ConservationHoldsOnInjectedCommGuardRun)
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(64'000)
             .seedIndex(0)
             .traceEvents(true)
@@ -167,13 +167,13 @@ TEST(EventTraceRun, ConservationHoldsOnInjectedCommGuardRun)
 
 TEST(EventTraceRun, ConservationHoldsOnPpuOnlyRun)
 {
-    // PpuOnly runs corrupt software-queue state directly (Fig. 3b);
+    // Raw runs corrupt software-queue state directly (Fig. 3b);
     // the QueueCorrupt events must match the queue corruption
     // counters exactly.
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::PpuOnly)
+            .mode(protection::ProtectionMode::Raw)
             .mtbe(64'000)
             .seedIndex(1)
             .traceEvents(true)
@@ -195,7 +195,7 @@ TEST(PerfettoExport, DocumentShapeAndExactSidecarCounts)
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(128'000)
             .seedIndex(0)
             .traceEvents(true)
@@ -292,7 +292,7 @@ TEST(Forensics, InjectedCorruptionRealignsWithinOneFrame)
         input[i] = static_cast<Word>(i + 1);
 
     streamit::LoadOptions options;
-    options.mode = streamit::ProtectionMode::CommGuard;
+    options.mode = protection::ProtectionMode::CommGuard;
     options.injectErrors = false;
     options.frameScale = frame_scale;
     options.machine.traceEvents = true;
@@ -355,7 +355,7 @@ TEST(Forensics, TracedSweepRecordCarriesForensicsAndConservation)
 
     const ExperimentConfig config =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(2'000)
             .seedIndex(0)
             .frameScale(4)
@@ -383,7 +383,7 @@ TEST(Forensics, ErrorFreeRunReportsNothingToRepair)
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .traceEvents(true)
             .run();

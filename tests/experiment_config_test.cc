@@ -92,7 +92,7 @@ TEST_F(ExperimentConfigTest, ValidChainProducesExpectedOptions)
 {
     const ExperimentConfig config =
         ExperimentConfig::app(_app)
-            .mode(streamit::ProtectionMode::ReliableQueue)
+            .mode(protection::ProtectionMode::ReliableQueue)
             .mtbe(128'000)
             .seed(77)
             .frameScale(4)
@@ -100,7 +100,7 @@ TEST_F(ExperimentConfigTest, ValidChainProducesExpectedOptions)
             .frameAlignedOutput(true)
             .queueCapacityWords(512);
     const streamit::LoadOptions &options = config.options();
-    EXPECT_EQ(options.mode, streamit::ProtectionMode::ReliableQueue);
+    EXPECT_EQ(options.mode, protection::ProtectionMode::ReliableQueue);
     EXPECT_TRUE(options.injectErrors);
     EXPECT_DOUBLE_EQ(options.mtbe, 128'000.0);
     EXPECT_EQ(options.seed, 77u);
@@ -125,10 +125,10 @@ TEST_F(ExperimentConfigTest, SeedIndexMatchesSweepOptionsDerivation)
 {
     for (int index : {0, 1, 4}) {
         const streamit::LoadOptions viaSweep = sweepOptions(
-            streamit::ProtectionMode::CommGuard, true, 256e3, index);
+            protection::ProtectionMode::CommGuard, true, 256e3, index);
         const streamit::LoadOptions viaBuilder =
             ExperimentConfig::app(_app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(256e3)
                 .seedIndex(index)
                 .options();
@@ -139,14 +139,13 @@ TEST_F(ExperimentConfigTest, SeedIndexMatchesSweepOptionsDerivation)
 TEST_F(ExperimentConfigTest, DescriptorJsonBytesAreGolden)
 {
     // The canonical descriptor encoding is a stability contract: its
-    // bytes are the result-cache content address and the shard wire
-    // format (src/sim/run_codec.hh). Any change to this string
-    // silently invalidates every existing cache entry and breaks
-    // mixed-build serve/worker pairs — update it only deliberately,
-    // together with docs/SHARDING.md.
+    // bytes are the result-cache content address (src/sim/run_codec.hh).
+    // Any change to this string silently invalidates every existing
+    // cache entry — update it only deliberately, together with
+    // docs/RESULT_CACHE.md.
     const RunDescriptor descriptor =
         ExperimentConfig::app(_app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(128'000)
             .seedIndex(2)
             .frameScale(2)
@@ -176,7 +175,7 @@ TEST_F(ExperimentConfigTest, RunProducesACompleteSnapshot)
 {
     const RunOutcome outcome =
         ExperimentConfig::app(_app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .run();
     EXPECT_TRUE(outcome.completed);

@@ -17,6 +17,8 @@ namespace commguard::streamit
 namespace
 {
 
+using protection::ProtectionMode;
+
 /** Three-stage pass-through pipeline, 2 items per firing. */
 StreamGraph
 makeChain3()

@@ -109,7 +109,7 @@ TEST(FuzzCheck, AbftChargesQueueCostPerServedItemNotPerBlock)
     // invocation's scope budget — tripping the PPU watchdog and
     // losing items even error-free. Exactness now holds.
     FuzzCase fuzz_case = randomFuzzCase(1122);
-    fuzz_case.mode = streamit::ProtectionMode::Abft;
+    fuzz_case.mode = protection::ProtectionMode::Abft;
     fuzz_case.injectErrors = false;
     fuzz_case.stages = 2;
     fuzz_case.allowSplitJoin = false;
@@ -177,7 +177,7 @@ TEST(FuzzShrink, KeepsFailingAndSimplifies)
     EXPECT_EQ(minimal.frameScale, 1u);
     EXPECT_FALSE(minimal.allowSplitJoin);
     EXPECT_FALSE(minimal.injectErrors);
-    EXPECT_EQ(minimal.mode, streamit::ProtectionMode::PpuOnly);
+    EXPECT_EQ(minimal.mode, protection::ProtectionMode::Raw);
     // The hook survives shrinking: that's what makes it replayable.
     EXPECT_EQ(minimal.breakInvariant, "counter");
 }

@@ -21,6 +21,9 @@ namespace commguard::streamit
 namespace
 {
 
+using protection::ProtectionMode;
+using protection::protectionModeName;
+
 /** Two-stage pass-through pipeline, 4 items per firing. */
 StreamGraph
 makePipeline()
@@ -65,7 +68,7 @@ TEST(Loader, ErrorFreeRunForwardsEverything)
 TEST(Loader, AllModesCompleteErrorFree)
 {
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         const StreamGraph g = makePipeline();
         LoadOptions options;
@@ -98,7 +101,7 @@ expectEdgeQueueType(ProtectionMode mode)
 
 TEST(Loader, QueueTypeFollowsMode)
 {
-    expectEdgeQueueType<SoftwareQueue>(ProtectionMode::PpuOnly);
+    expectEdgeQueueType<SoftwareQueue>(ProtectionMode::Raw);
     expectEdgeQueueType<ReliableQueue>(ProtectionMode::ReliableQueue);
     expectEdgeQueueType<WorkingSetQueue>(ProtectionMode::CommGuard);
 }

@@ -40,7 +40,7 @@ TEST(RunRecord, CarriesDescriptorAndSchemaVersion)
     const apps::App app = apps::makeFftApp(16);
     const ExperimentConfig config =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(256'000)
             .seedIndex(1);
     const RunOutcome outcome = config.run();
@@ -59,7 +59,7 @@ TEST(RunRecord, RoundTripsToTheExactSnapshot)
     const apps::App app = apps::makeFftApp(16);
     const ExperimentConfig config =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(128'000)
             .seedIndex(0);
     const RunOutcome outcome = config.run();
@@ -82,7 +82,7 @@ TEST(AppendJsonl, WritesOneLinePerRunInOrder)
     for (int seed = 0; seed < 3; ++seed) {
         descriptors.push_back(
             ExperimentConfig::app(app)
-                .mode(streamit::ProtectionMode::CommGuard)
+                .mode(protection::ProtectionMode::CommGuard)
                 .mtbe(128'000)
                 .seedIndex(seed)
                 .descriptor());

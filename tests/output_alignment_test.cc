@@ -72,7 +72,7 @@ TEST(FrameAlignedOutput, ErrorFreeOutputIsUnchanged)
 {
     const apps::App app = apps::makeFftApp(32);
     streamit::LoadOptions plain;
-    plain.mode = streamit::ProtectionMode::CommGuard;
+    plain.mode = protection::ProtectionMode::CommGuard;
     plain.injectErrors = false;
     streamit::LoadOptions aligned = plain;
     aligned.frameAlignedOutput = true;
@@ -87,7 +87,7 @@ TEST(FrameAlignedOutput, OutputLengthIsAlwaysWellFormed)
     // whole number of frame records regardless of sink miscounts.
     const apps::App app = apps::makeFftApp(64);
     streamit::LoadOptions options;
-    options.mode = streamit::ProtectionMode::CommGuard;
+    options.mode = protection::ProtectionMode::CommGuard;
     options.injectErrors = true;
     options.mtbe = 30'000;
     options.frameAlignedOutput = true;
@@ -112,7 +112,7 @@ TEST(FrameAlignedOutput, ImprovesMeanQualityUnderErrors)
         double sum = 0.0;
         for (std::uint64_t seed = 1; seed <= 5; ++seed) {
             streamit::LoadOptions options;
-            options.mode = streamit::ProtectionMode::CommGuard;
+            options.mode = protection::ProtectionMode::CommGuard;
             options.injectErrors = true;
             options.mtbe = 128'000;
             options.seed = seed;

@@ -96,8 +96,6 @@ TEST(ProtectionRegistry, PreRegistryAliasStillParses)
 {
     EXPECT_EQ(protection::parseProtectionMode("ppu-only"),
               ProtectionMode::Raw);
-    // And the deprecated enum name is the same id.
-    EXPECT_EQ(ProtectionMode::PpuOnly, ProtectionMode::Raw);
 }
 
 TEST(ProtectionRegistry, TryParseRejectsUnknownNames)

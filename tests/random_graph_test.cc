@@ -27,6 +27,8 @@ namespace
 {
 
 using namespace streamit;
+using protection::ProtectionMode;
+using protection::protectionModeName;
 
 class RandomGraph : public ::testing::TestWithParam<int>
 {
@@ -68,7 +70,7 @@ TEST_P(RandomGraph, SolvesLoadsAndRuns)
 
     // (ii) Error-free exactness in every mode.
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;
@@ -85,7 +87,7 @@ TEST_P(RandomGraph, SolvesLoadsAndRuns)
 
     // (iii) Progress under extreme errors in every mode.
     for (ProtectionMode mode :
-         {ProtectionMode::PpuOnly, ProtectionMode::ReliableQueue,
+         {ProtectionMode::Raw, ProtectionMode::ReliableQueue,
           ProtectionMode::CommGuard}) {
         LoadOptions options;
         options.mode = mode;

@@ -37,7 +37,7 @@ smallConfig(const apps::App &app)
     ServiceConfig config;
     config.app = &app;
     config.load =
-        sweepOptions(streamit::ProtectionMode::CommGuard, true,
+        sweepOptions(protection::ProtectionMode::CommGuard, true,
                      64'000.0, 0);
     config.totalFrames = 300;
     config.arrivalSeed = 7;
@@ -147,7 +147,7 @@ TEST(ServiceDriver, StepRoundLoopReproducesRunExactly)
     // same totals, same output bytes) — pause/resume is free.
     const apps::App app = apps::makeFftApp(16);
     const streamit::LoadOptions options =
-        sweepOptions(streamit::ProtectionMode::CommGuard, true,
+        sweepOptions(protection::ProtectionMode::CommGuard, true,
                      48'000.0, 3);
 
     streamit::LoadedApp batch = streamit::loadGraph(
@@ -175,7 +175,7 @@ TEST(ServiceDriver, PerCoreMtbeConcentratesErrorsOnTheBadCore)
 {
     const apps::App app = apps::makeFftApp(16);
     streamit::LoadOptions options =
-        sweepOptions(streamit::ProtectionMode::CommGuard, true,
+        sweepOptions(protection::ProtectionMode::CommGuard, true,
                      1e15, 0);
     // One pathological core, the rest effectively error-free.
     const std::size_t nodes =

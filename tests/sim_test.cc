@@ -102,7 +102,7 @@ TEST(RunOnce, OutcomeFieldsAreConsistent)
     const apps::App app = apps::makeFftApp(32);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .mtbe(200'000)
             .seed(5)
             .run();
@@ -130,7 +130,7 @@ TEST(RunOnce, ErrorFreeHasNoCommGuardRepairs)
     const apps::App app = apps::makeFftApp(16);
     const RunOutcome outcome =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .run();
     EXPECT_EQ(outcome.errorsInjected(), 0u);
@@ -204,7 +204,7 @@ TEST(Reliability, MeasuredStaysBelowBound)
 
     const std::vector<Word> reference =
         ExperimentConfig::app(app)
-            .mode(streamit::ProtectionMode::CommGuard)
+            .mode(protection::ProtectionMode::CommGuard)
             .noErrors()
             .run()
             .output;
@@ -215,7 +215,7 @@ TEST(Reliability, MeasuredStaysBelowBound)
         for (int seed = 1; seed <= seeds; ++seed) {
             const RunOutcome outcome =
                 ExperimentConfig::app(app)
-                    .mode(streamit::ProtectionMode::CommGuard)
+                    .mode(protection::ProtectionMode::CommGuard)
                     .mtbe(mtbe)
                     .seed(static_cast<std::uint64_t>(seed) * 977)
                     .run();

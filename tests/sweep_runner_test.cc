@@ -17,6 +17,7 @@
 #include <cstring>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/app.hh"
@@ -32,7 +33,9 @@ namespace
 {
 
 // ----------------------------------------------------------------------
-// ThreadPool.
+// ThreadPool: pool width, inline execution and wait() exception
+// semantics, driven through one-index batches (the pool's only unit of
+// work).
 // ----------------------------------------------------------------------
 
 TEST(ThreadPool, SequentialPoolRunsInline)
@@ -41,9 +44,13 @@ TEST(ThreadPool, SequentialPoolRunsInline)
     EXPECT_EQ(pool.threadCount(), 0u);
     EXPECT_EQ(pool.jobs(), 1u);
 
+    const std::thread::id caller = std::this_thread::get_id();
     int runs = 0;
-    pool.submit([&runs] { ++runs; });
-    EXPECT_EQ(runs, 1);  // Ran before submit returned.
+    pool.submitBatch(1, [&](unsigned, std::size_t) {
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        ++runs;
+    });
+    EXPECT_EQ(runs, 1);  // Ran before submitBatch returned.
     pool.wait();
     EXPECT_EQ(runs, 1);
 }
@@ -53,15 +60,25 @@ TEST(ThreadPool, ParallelPoolRunsEveryJob)
     ThreadPool pool(4);
     EXPECT_EQ(pool.threadCount(), 4u);
 
+    const std::thread::id caller = std::this_thread::get_id();
     std::atomic<int> runs{0};
-    for (int i = 0; i < 64; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
+    std::atomic<int> on_caller{0};
+    for (int i = 0; i < 64; ++i) {
+        pool.submitBatch(1, [&](unsigned, std::size_t) {
+            if (std::this_thread::get_id() == caller)
+                on_caller.fetch_add(1);
+            runs.fetch_add(1);
+        });
+    }
     pool.wait();
     EXPECT_EQ(runs.load(), 64);
+    EXPECT_EQ(on_caller.load(), 0);  // The submitter is not a worker.
 
     // The pool is reusable after wait().
     for (int i = 0; i < 8; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
+        pool.submitBatch(1, [&](unsigned, std::size_t) {
+            runs.fetch_add(1);
+        });
     pool.wait();
     EXPECT_EQ(runs.load(), 72);
 }
@@ -69,12 +86,14 @@ TEST(ThreadPool, ParallelPoolRunsEveryJob)
 TEST(ThreadPool, InlineJobExceptionRethrownFromWait)
 {
     ThreadPool pool(1);
-    pool.submit([] { throw std::runtime_error("inline boom"); });
+    pool.submitBatch(1, [](unsigned, std::size_t) {
+        throw std::runtime_error("inline boom");
+    });
     EXPECT_THROW(pool.wait(), std::runtime_error);
 
     // The pool survives and keeps running jobs after the rethrow.
     int runs = 0;
-    pool.submit([&runs] { ++runs; });
+    pool.submitBatch(1, [&runs](unsigned, std::size_t) { ++runs; });
     pool.wait();
     EXPECT_EQ(runs, 1);
 }
@@ -84,14 +103,14 @@ TEST(ThreadPool, WorkerJobExceptionRethrownFromWait)
     ThreadPool pool(4);
     std::atomic<int> runs{0};
     for (int i = 0; i < 32; ++i) {
-        pool.submit([&runs, i] {
+        pool.submitBatch(1, [&runs, i](unsigned, std::size_t) {
             if (i == 7)
                 throw std::runtime_error("worker boom");
             runs.fetch_add(1);
         });
     }
     // A throwing job must neither terminate the process nor hang the
-    // pool: every other job still runs, and wait() reports the error.
+    // pool: every later job still runs, and wait() reports the error.
     try {
         pool.wait();
         FAIL() << "wait() should have rethrown the job exception";
@@ -100,9 +119,11 @@ TEST(ThreadPool, WorkerJobExceptionRethrownFromWait)
     }
     EXPECT_EQ(runs.load(), 31);
 
-    // Only the first exception is kept; the pool stays usable.
+    // The pool stays usable after the rethrow.
     for (int i = 0; i < 8; ++i)
-        pool.submit([&runs] { runs.fetch_add(1); });
+        pool.submitBatch(1, [&runs](unsigned, std::size_t) {
+            runs.fetch_add(1);
+        });
     pool.wait();
     EXPECT_EQ(runs.load(), 39);
 }
@@ -111,9 +132,16 @@ TEST(ThreadPool, FirstOfSeveralExceptionsWins)
 {
     ThreadPool pool(2);
     for (int i = 0; i < 4; ++i) {
-        pool.submit([] { throw std::runtime_error("boom"); });
+        pool.submitBatch(1, [i](unsigned, std::size_t) {
+            throw std::runtime_error("boom " + std::to_string(i));
+        });
     }
-    EXPECT_THROW(pool.wait(), std::runtime_error);
+    try {
+        pool.wait();
+        FAIL() << "wait() should have rethrown the first job exception";
+    } catch (const std::runtime_error &e) {
+        EXPECT_STREQ(e.what(), "boom 0");
+    }
     // Later exceptions were discarded; a clean wait follows.
     pool.wait();
 }
@@ -210,7 +238,6 @@ TEST(ThreadPoolBatch, StatsCountBatchesAndStolenIndices)
     const ThreadPool::Stats stats = pool.stats();
     EXPECT_EQ(stats.batchesSubmitted, 2u);
     EXPECT_EQ(stats.tasksStolen, 128u);  // Every index claimed once.
-    EXPECT_EQ(stats.jobsQueued, 0u);     // No legacy submit() jobs.
 
     pool.resetStats();
     EXPECT_EQ(pool.stats().batchesSubmitted, 0u);
@@ -354,10 +381,10 @@ std::vector<RunDescriptor>
 smallSweep(const apps::App &app)
 {
     std::vector<RunDescriptor> descriptors;
-    for (const streamit::ProtectionMode mode :
-         {streamit::ProtectionMode::PpuOnly,
-          streamit::ProtectionMode::ReliableQueue,
-          streamit::ProtectionMode::CommGuard}) {
+    for (const protection::ProtectionMode mode :
+         {protection::ProtectionMode::Raw,
+          protection::ProtectionMode::ReliableQueue,
+          protection::ProtectionMode::CommGuard}) {
         for (const double mtbe : {64'000.0, 1'024'000.0}) {
             for (int seed = 0; seed < 2; ++seed) {
                 descriptors.push_back(
@@ -446,12 +473,12 @@ TEST(SweepRunner, RepeatedParallelRunsAreStable)
     SweepRunner runner(4);
 
     runner.enqueue(app,
-                   sweepOptions(streamit::ProtectionMode::CommGuard,
+                   sweepOptions(protection::ProtectionMode::CommGuard,
                                 true, 64'000.0, 0));
     const std::vector<RunOutcome> first = runner.runAll();
 
     runner.enqueue(app,
-                   sweepOptions(streamit::ProtectionMode::CommGuard,
+                   sweepOptions(protection::ProtectionMode::CommGuard,
                                 true, 64'000.0, 0));
     const std::vector<RunOutcome> second = runner.runAll();
 
@@ -478,7 +505,7 @@ TEST(SweepRunner, ProgressCounterReachesTotal)
 
     for (int seed = 0; seed < 3; ++seed)
         runner.enqueue(app,
-                       sweepOptions(streamit::ProtectionMode::CommGuard,
+                       sweepOptions(protection::ProtectionMode::CommGuard,
                                     true, 512'000.0, seed));
     const std::vector<RunOutcome> outcomes = runner.runAll();
 
@@ -492,8 +519,8 @@ TEST(SweepRunner, ProgressCounterReachesTotal)
 TEST(SweepOptions, MatchPaperSeedDerivation)
 {
     const streamit::LoadOptions options = sweepOptions(
-        streamit::ProtectionMode::ReliableQueue, true, 128'000.0, 2, 4);
-    EXPECT_EQ(options.mode, streamit::ProtectionMode::ReliableQueue);
+        protection::ProtectionMode::ReliableQueue, true, 128'000.0, 2, 4);
+    EXPECT_EQ(options.mode, protection::ProtectionMode::ReliableQueue);
     EXPECT_TRUE(options.injectErrors);
     EXPECT_EQ(options.mtbe, 128'000.0);
     EXPECT_EQ(options.seed, 3u * 1000003u);

@@ -11,11 +11,6 @@
  *                                   to one registered protection mode
  *   cg_bench replay <bundle.json>   re-run a fuzz repro bundle
  *                                   (docs/FUZZING.md)
- *   cg_bench run --shards=<n> …     execute the sweeps across <n>
- *                                   worker processes (docs/SHARDING.md)
- *   cg_bench serve …                like run, with sharding on by
- *                                   default (CG_SHARDS or one worker
- *                                   per host core)
  *   cg_bench serve-run …            service mode (docs/SERVICE.md):
  *                                   one long-lived machine under an
  *                                   open-loop streaming traffic model
@@ -23,21 +18,17 @@
  *                                   deterministic summary record and
  *                                   optionally writes the full JSONL
  *                                   stream (`jsonl_check --service`)
- *   cg_bench worker                 internal: serve-spawned worker
- *                                   speaking the shard protocol on
- *                                   stdin/stdout
  *
  * Behaviour knobs come from the environment, same as the rest of the
  * toolchain: CG_QUICK (thinned axes), CG_JOBS (sweep parallelism),
  * CG_CSV (CSV after each table), CG_JSON (BENCH_<name>.json files),
  * CG_JSONL (per-run records), CG_TRACE_EVENTS (Perfetto traces),
- * CG_SHARDS (default worker-process count), CG_CACHE_DIR (result
- * cache directory).
+ * CG_CACHE_DIR (result cache directory, docs/RESULT_CACHE.md).
  *
  * Exit codes: 0 success, 1 runtime failure (fatal() inside a
  * scenario) or a replayed bundle reproducing its failure, 2 usage
- * error (unknown subcommand, scenario or tag, unreadable bundle, bad
- * --shards value, unusable CG_CACHE_DIR).
+ * error (unknown subcommand, scenario or tag, unreadable bundle,
+ * unusable CG_CACHE_DIR).
  */
 
 #include <unistd.h>
@@ -53,13 +44,11 @@
 #include <vector>
 
 #include "apps/app.hh"
-#include "common/thread_pool.hh"
 #include "sim/env_options.hh"
 #include "sim/fuzz.hh"
 #include "sim/protection.hh"
 #include "sim/scenario.hh"
 #include "sim/service_driver.hh"
-#include "sim/shard.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/telemetry_export.hh"
 
@@ -67,23 +56,6 @@ using namespace commguard;
 
 namespace
 {
-
-/** argv[0], for respawning ourselves as shard workers. */
-std::string g_argv0 = "cg_bench";
-
-/** The path workers are spawned from: /proc/self/exe when the kernel
- *  provides it (robust against PATH games and cwd changes), argv[0]
- *  otherwise. */
-std::string
-selfExePath()
-{
-    std::error_code ec;
-    const std::filesystem::path exe =
-        std::filesystem::read_symlink("/proc/self/exe", ec);
-    if (!ec && !exe.empty())
-        return exe.string();
-    return g_argv0;
-}
 
 int
 usage(std::ostream &out, int code)
@@ -99,10 +71,6 @@ usage(std::ostream &out, int code)
            "                           (registered modes: "
         << protection::ProtectionRegistry::instance().nameList()
         << ")\n"
-           "  run --shards=<n> ...     execute sweeps across <n> "
-           "worker processes\n"
-           "  serve ...                run with sharding on by "
-           "default\n"
            "  serve-run [opts]         service mode: stream an "
            "open-loop traffic model\n"
            "                           through one long-lived machine "
@@ -125,38 +93,14 @@ usage(std::ostream &out, int code)
            "by r slots\n"
            "    --out=<path>           write the full JSONL stream "
            "here\n"
-           "  worker                   internal: shard worker on "
-           "stdin/stdout\n"
            "  replay <bundle.json>     re-run a fuzz repro bundle\n"
            "\n"
            "environment: CG_QUICK CG_JOBS CG_CSV CG_JSON CG_JSONL "
            "CG_MODE CG_TRACE_EVENTS CG_TELEMETRY_SLICES "
-           "CG_TELEMETRY_OUT CG_BOARD CG_SHARDS CG_CACHE_DIR "
+           "CG_TELEMETRY_OUT CG_BOARD CG_CACHE_DIR "
            "CG_SERVICE_FRAMES CG_SERVICE_SNAPSHOT_FRAMES "
            "CG_SERVICE_WINDOW\n";
     return code;
-}
-
-/**
- * Strict shard-count parse: decimal digits only, >= 1. The same rule
- * covers --shards=<n> and CG_SHARDS, so "--shards=0", "--shards=4x"
- * and friends are usage errors, never silent fallbacks.
- */
-bool
-parseShards(const std::string &text, unsigned *out)
-{
-    if (text.empty() || text.size() > 4)
-        return false;
-    unsigned value = 0;
-    for (char c : text) {
-        if (c < '0' || c > '9')
-            return false;
-        value = value * 10 + static_cast<unsigned>(c - '0');
-    }
-    if (value == 0)
-        return false;
-    *out = value;
-    return true;
 }
 
 void
@@ -208,25 +152,15 @@ cmdList(const std::vector<std::string> &args)
 }
 
 int
-cmdRun(const std::vector<std::string> &raw_args, bool serve)
+cmdRun(const std::vector<std::string> &raw_args)
 {
-    // --mode=<name> and --shards=<n> may appear anywhere among the
-    // run arguments.
+    // --mode=<name> may appear anywhere among the run arguments.
     std::vector<std::string> args;
-    std::vector<streamit::ProtectionMode> mode_filter;
-    unsigned shards = 0;  // 0 = not requested via flag.
+    std::vector<protection::ProtectionMode> mode_filter;
     for (const std::string &arg : raw_args) {
-        if (arg.rfind("--shards=", 0) == 0) {
-            const std::string value = arg.substr(9);
-            if (!parseShards(value, &shards)) {
-                std::cerr << "cg_bench run: invalid shard count '"
-                          << value
-                          << "' (expected a decimal integer >= 1)\n";
-                return usage(std::cerr, 2);
-            }
-        } else if (arg.rfind("--mode=", 0) == 0) {
+        if (arg.rfind("--mode=", 0) == 0) {
             const std::string name = arg.substr(7);
-            streamit::ProtectionMode mode{};
+            protection::ProtectionMode mode{};
             if (!protection::tryParseProtectionMode(name, &mode)) {
                 std::cerr
                     << "cg_bench run: unknown protection mode '"
@@ -284,39 +218,6 @@ cmdRun(const std::vector<std::string> &raw_args, bool serve)
             }
             selected.push_back(scenario);
         }
-    }
-
-    // Sharding (docs/SHARDING.md): --shards=<n> wins; otherwise
-    // CG_SHARDS; `serve` without either defaults to one worker per
-    // host core. Installed before the first sharedRunner() touch so
-    // the shared engine is built on a ShardExecutor.
-    if (shards == 0) {
-        if (const char *env_shards = std::getenv("CG_SHARDS");
-            env_shards != nullptr && *env_shards != '\0') {
-            if (!parseShards(env_shards, &shards)) {
-                std::cerr << "cg_bench run: invalid CG_SHARDS value '"
-                          << env_shards
-                          << "' (expected a decimal integer >= 1)\n";
-                return usage(std::cerr, 2);
-            }
-        } else if (serve) {
-            shards = ThreadPool::defaultJobs();
-        }
-    }
-    if (shards > 0) {
-        const sim::EnvOptions &env = sim::EnvOptions::get();
-        if (env.traceEvents || env.telemetrySlices > 0) {
-            std::cerr
-                << "cg_bench run: --shards is incompatible with "
-                   "CG_TRACE_EVENTS / CG_TELEMETRY_SLICES (traces "
-                   "and telemetry rings cannot cross the worker "
-                   "process boundary)\n";
-            return usage(std::cerr, 2);
-        }
-        sim::ShardPlan plan;
-        plan.shards = shards;
-        plan.workerArgv = {selfExePath(), "worker"};
-        sim::setProcessShardPlan(std::move(plan));
     }
 
     // Sweep health board (docs/TELEMETRY.md): live status line over
@@ -393,7 +294,7 @@ cmdServeRun(const std::vector<std::string> &args)
     };
 
     std::string app_name = "fft";
-    streamit::ProtectionMode mode = streamit::ProtectionMode::CommGuard;
+    protection::ProtectionMode mode = protection::ProtectionMode::CommGuard;
     Count frames = 100'000;
     Count seed_index = 0;
     sim::ServiceConfig config;
@@ -645,11 +546,7 @@ checkCacheDir()
 int
 main(int argc, char **argv)
 {
-    if (argc > 0)
-        g_argv0 = argv[0];
-
     // Tool-specific knobs, registered before the strict env scan.
-    sim::allowEnvKey("CG_SHARDS");
     sim::allowEnvKey("CG_CACHE_DIR");
     sim::allowEnvKey("CG_SERVICE_FRAMES");
     sim::allowEnvKey("CG_SERVICE_SNAPSHOT_FRAMES");
@@ -671,19 +568,9 @@ main(int argc, char **argv)
     if (args[0] == "list")
         return cmdList(rest);
     if (args[0] == "run")
-        return cmdRun(rest, /*serve=*/false);
-    if (args[0] == "serve")
-        return cmdRun(rest, /*serve=*/true);
+        return cmdRun(rest);
     if (args[0] == "serve-run")
         return cmdServeRun(rest);
-    if (args[0] == "worker") {
-        if (!rest.empty()) {
-            std::cerr << "cg_bench worker: takes no arguments\n";
-            return usage(std::cerr, 2);
-        }
-        // Frames on stdin/stdout, diagnostics on stderr.
-        return sim::shardWorkerLoop(0, 1);
-    }
     if (args[0] == "replay")
         return cmdReplay(rest);
 

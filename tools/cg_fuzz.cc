@@ -98,7 +98,7 @@ cmdRun(const std::vector<std::string> &args)
     std::uint64_t base_seed = 1;
     long jobs_override = 0;
     bool mode_pinned = false;
-    streamit::ProtectionMode pinned_mode{};
+    protection::ProtectionMode pinned_mode{};
     std::string break_hook;
     std::string bundle_path = "fuzz_repro.json";
 
@@ -307,8 +307,7 @@ main(int argc, char **argv)
     sim::allowEnvKey("CG_FUZZ_BUDGET");
     // Accepted for toolchain symmetry (a shared shell environment
     // must not be fatal here), but inert: fuzz batches run with
-    // caching off, and the harness never shards.
-    sim::allowEnvKey("CG_SHARDS");
+    // caching off.
     sim::allowEnvKey("CG_CACHE_DIR");
     (void)sim::EnvOptions::get();
 

@@ -172,7 +172,7 @@ checkLine(const std::string &line, std::size_t number,
 
     // The mode vocabulary is the protection registry's name set.
     const Json *mode = record.find("protection_mode");
-    streamit::ProtectionMode parsed_mode{};
+    protection::ProtectionMode parsed_mode{};
     if (!mode->isString() ||
         !protection::tryParseProtectionMode(mode->str(),
                                             &parsed_mode)) {
@@ -459,10 +459,10 @@ checkBenchDocument(const char *path)
 
     // Duplicate-run detection: a table keyed by run descriptors must
     // name each configuration once — a repeat means a sweep merge
-    // double-counted a run (e.g. a sharded sweep re-admitting a
-    // reassigned shard). Engages only on tables carrying the full
-    // descriptor key ("app", "mtbe", "seed"); summary tables keyed
-    // otherwise are exempt.
+    // double-counted a run (e.g. a cache replay and a fresh execution
+    // both landing in the table). Engages only on tables carrying the
+    // full descriptor key ("app", "mtbe", "seed"); summary tables
+    // keyed otherwise are exempt.
     const std::vector<std::string> descriptor_columns = {
         "app",  "mode", "protection_mode",
         "mtbe", "seed", "frame_scale",
@@ -599,7 +599,7 @@ checkTelemetryLine(const std::string &line, std::size_t number,
                         key + "'");
     }
     const Json *mode = record.find("protection_mode");
-    streamit::ProtectionMode parsed_mode{};
+    protection::ProtectionMode parsed_mode{};
     if (!mode->isString() ||
         !protection::tryParseProtectionMode(mode->str(),
                                             &parsed_mode)) {
