@@ -96,10 +96,7 @@ runScenario(sim::ScenarioContext &ctx)
             for (int seed = 0; seed < ctx.seeds(); ++seed) {
                 const sim::RunOutcome &outcome = outcomes[cursor++];
                 samples.push_back(outcome.qualityDb);
-                repaired += outcome.snapshot.total("paddedItems") +
-                            outcome.snapshot.total("discardedItems") +
-                            outcome.snapshot.total("votedCorrections") +
-                            outcome.snapshot.total("correctedItems");
+                repaired += protection::repairTotal(outcome.snapshot);
             }
             const sim::SampleStats stats = sim::summarize(samples);
             table.addRow(

@@ -1,6 +1,6 @@
 // fault_playground: a small CLI for exploring the simulator — pick a
 // benchmark, a protection mode, an error rate, a frame-size scale and
-// a seed, run it, and dump the full statistics tree.
+// a seed, run it, and dump the run's metric snapshot.
 //
 // Usage:
 //   fault_playground [app] [mode] [mtbe] [seed] [frame_scale]
@@ -16,7 +16,6 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <iostream>
 #include <stdexcept>
 #include <string>
 
@@ -101,7 +100,11 @@ main(int argc, char **argv)
                 static_cast<unsigned long long>(result.timeoutsFired),
                 static_cast<unsigned long long>(result.deadlockBreaks));
 
-    std::printf("---- statistics tree ----\n");
-    loaded.machine->collectStats().dump(std::cout);
+    std::printf("---- metric snapshot ----\n");
+    const metrics::MetricSnapshot snapshot =
+        loaded.machine->metrics().snapshot();
+    for (const auto &[name, value] : snapshot.counters())
+        std::printf("%s = %llu\n", name.c_str(),
+                    static_cast<unsigned long long>(value));
     return 0;
 }

@@ -3,7 +3,9 @@
 # -Wall -Wextra from the top-level CMakeLists), run the tier-1 test
 # suite, validate the per-run JSONL export schema and the scenario
 # catalogue, run the full scenario sweep in quick mode (and gate on
-# the sweep engine's jobs=4 speedup, core-aware), run one traced
+# the sweep engine's jobs=4 speedup, core-aware), compare every
+# non-micro scenario's quick output and every mode's serve-run stream
+# against the committed golden digests (scripts/golden.sh), run one traced
 # quick sweep to validate the Perfetto trace export and the per-run
 # forensics records (docs/TRACING.md), run a quick budget of the
 # deterministic stress-fuzz harness including its failure path
@@ -51,6 +53,11 @@ JSONL_CHECK="$BUILD_DIR/tools/jsonl_check"
 
 # Every registered scenario must run end to end in quick mode.
 (cd "$BUILD_DIR" && CG_QUICK=1 "tools/cg_bench" run --all)
+
+# Golden-output gate: quick stdout and JSONL of every non-micro
+# scenario, and serve-run in every protection mode, must match the
+# committed digests in tests/golden/quick.sha256 byte for byte.
+scripts/golden.sh "$BUILD_DIR"
 
 # Sweep-scaling gate: the quick run above wrote BENCH_sweep.json
 # (micro_sweep_throughput) into $BUILD_DIR with the jobs=1,2,4,8

@@ -17,7 +17,6 @@
 #define COMMGUARD_COMMGUARD_COUNTERS_HH
 
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace commguard
@@ -96,27 +95,6 @@ struct CgCounters
         registry.link(prefix + "/headerDropsOnTimeout",
                       headerDropsOnTimeout);
         registry.link(prefix + "/amState", amStateOccupancy);
-    }
-
-    /** Publish all counters into @p group. */
-    void
-    exportTo(StatGroup &group) const
-    {
-        group.set("dataStores", dataStores);
-        group.set("dataLoads", dataLoads);
-        group.set("headerStores", headerStores);
-        group.set("headerLoads", headerLoads);
-        group.set("headerBitOps", headerBitOps);
-        group.set("eccChecks", eccChecks);
-        group.set("eccComputes", eccComputes);
-        group.set("fsmOps", fsmOps);
-        group.set("counterOps", counterOps);
-        group.set("prepareHeaderOps", prepareHeaderOps);
-        group.set("paddedItems", paddedItems);
-        group.set("discardedItems", discardedItems);
-        group.set("discardedHeaders", discardedHeaders);
-        group.set("acceptedItems", acceptedItems);
-        group.set("headerDropsOnTimeout", headerDropsOnTimeout);
     }
 };
 

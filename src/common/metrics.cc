@@ -70,21 +70,23 @@ MetricSnapshot::gauge(std::string_view name) const
     return it != _gauges.end() && it->first == name ? it->second : 0.0;
 }
 
+std::string_view
+leafName(std::string_view name)
+{
+    if (const auto slash = name.rfind('/');
+        slash != std::string_view::npos)
+        name.remove_prefix(slash + 1);
+    if (const auto hash = name.find('#'); hash != std::string_view::npos)
+        name = name.substr(0, hash);
+    return name;
+}
+
 Count
 MetricSnapshot::total(std::string_view leaf) const
 {
     Count sum = 0;
     for (const auto &[name, value] : _counters) {
-        // The final path segment, with any "#k" duplicate-registration
-        // suffix stripped so disambiguated counters still aggregate.
-        std::string_view segment(name);
-        if (const auto slash = segment.rfind('/');
-            slash != std::string_view::npos)
-            segment.remove_prefix(slash + 1);
-        if (const auto hash = segment.find('#');
-            hash != std::string_view::npos)
-            segment = segment.substr(0, hash);
-        if (segment == leaf)
+        if (leafName(name) == leaf)
             sum += value;
     }
     return sum;
@@ -218,47 +220,10 @@ Registry::counter(const std::string &name)
     return _ownedCounters.back();
 }
 
-Gauge &
-Registry::gauge(const std::string &name)
-{
-    for (const Binding &binding : _bindings) {
-        if (binding.name == name && binding.kind == Kind::Gauge) {
-            for (Gauge &owned : _ownedGauges) {
-                if (&owned == binding.metric)
-                    return owned;
-            }
-        }
-    }
-    _ownedGauges.emplace_back();
-    bind(name, Kind::Gauge, &_ownedGauges.back());
-    return _ownedGauges.back();
-}
-
-Histogram &
-Registry::histogram(const std::string &name,
-                    std::vector<std::string> bucket_names)
-{
-    _ownedHistograms.emplace_back(std::move(bucket_names));
-    bind(name, Kind::Histogram, &_ownedHistograms.back());
-    return _ownedHistograms.back();
-}
-
 void
 Registry::link(const std::string &name, const Counter &counter)
 {
     bind(name, Kind::Counter, &counter);
-}
-
-void
-Registry::link(const std::string &name, const Count &raw)
-{
-    bind(name, Kind::RawCount, &raw);
-}
-
-void
-Registry::link(const std::string &name, const Gauge &gauge)
-{
-    bind(name, Kind::Gauge, &gauge);
 }
 
 void
@@ -277,16 +242,6 @@ Registry::snapshot() const
             out.setCounter(
                 binding.name,
                 static_cast<const Counter *>(binding.metric)->value());
-            break;
-          case Kind::RawCount:
-            out.setCounter(
-                binding.name,
-                *static_cast<const Count *>(binding.metric));
-            break;
-          case Kind::Gauge:
-            out.setGauge(
-                binding.name,
-                static_cast<const Gauge *>(binding.metric)->value());
             break;
           case Kind::Histogram: {
             const auto &histogram =

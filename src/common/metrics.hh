@@ -111,17 +111,6 @@ operator<<(std::ostream &os, const Counter &c)
     return os << c.value();
 }
 
-/** An instantaneous double-valued observable. */
-class Gauge
-{
-  public:
-    void set(double value) { _value = value; }
-    double value() const { return _value; }
-
-  private:
-    double _value = 0.0;
-};
-
 /**
  * Fixed-bucket labeled histogram (e.g. AM state occupancy). The bucket
  * set is closed at construction; add() indexes by position so hot
@@ -170,11 +159,11 @@ class MetricSnapshot
     bool hasCounter(std::string_view name) const;
 
     /**
-     * Sum of every counter whose final path segment equals @p leaf —
-     * the generic cross-component aggregation ("committedInsts" over
-     * all nodes, "paddedItems" over all CommGuard modules, ...).
-     * Adding a component anywhere in the stack automatically joins
-     * the total; nothing is hand-copied.
+     * Sum of every counter whose leafName() equals @p leaf — the
+     * generic cross-component aggregation ("committedInsts" over all
+     * nodes, "paddedItems" over all CommGuard modules, ...), "#k"
+     * duplicates included. Adding a component anywhere in the stack
+     * automatically joins the total; nothing is hand-copied.
      */
     Count total(std::string_view leaf) const;
 
@@ -201,6 +190,13 @@ class MetricSnapshot
     std::vector<std::pair<std::string, double>> _gauges;
 };
 
+/**
+ * The leaf of a metric name: its last path segment with any "#k"
+ * duplicate-registration suffix stripped ("cg/F/paddedItems#2" →
+ * "paddedItems"). The one name → leaf rule every consumer shares.
+ */
+std::string_view leafName(std::string_view name);
+
 /** Serialize a snapshot as {"schema_version", "counters", "gauges"}. */
 Json snapshotToJson(const MetricSnapshot &snapshot);
 
@@ -214,10 +210,10 @@ MetricSnapshot snapshotFromJson(const Json &json);
 /**
  * Per-run metric directory.
  *
- * Holds (a) metrics it owns, created on demand by counter()/gauge()/
- * histogram(), and (b) links to component-owned metrics. Duplicate
- * names are disambiguated deterministically with a "#k" suffix so a
- * registry never silently merges two components.
+ * Holds (a) counters it owns, created on demand by counter(), and (b)
+ * links to component-owned counters and histograms. Duplicate names
+ * are disambiguated deterministically with a "#k" suffix so a registry
+ * never silently merges two components.
  */
 class Registry
 {
@@ -226,18 +222,13 @@ class Registry
     Registry(const Registry &) = delete;
     Registry &operator=(const Registry &) = delete;
 
-    /** Create (or fetch) an owned metric; the reference stays valid
+    /** Create (or fetch) an owned counter; the reference stays valid
      *  for the registry's lifetime. */
     Counter &counter(const std::string &name);
-    Gauge &gauge(const std::string &name);
-    Histogram &histogram(const std::string &name,
-                         std::vector<std::string> bucket_names);
 
     /** Link a component-owned metric under @p name (not owned; the
      *  component must outlive the registry's last snapshot()). */
     void link(const std::string &name, const Counter &counter);
-    void link(const std::string &name, const Count &raw);
-    void link(const std::string &name, const Gauge &gauge);
     void link(const std::string &name, const Histogram &histogram);
 
     /** Number of registered metric bindings. */
@@ -250,8 +241,6 @@ class Registry
     enum class Kind : std::uint8_t
     {
         Counter,
-        RawCount,
-        Gauge,
         Histogram,
     };
 
@@ -265,10 +254,8 @@ class Registry
     std::string uniqueName(std::string name);
     void bind(std::string name, Kind kind, const void *metric);
 
-    // Deques: stable addresses under growth.
+    // Deque: stable addresses under growth.
     std::deque<Counter> _ownedCounters;
-    std::deque<Gauge> _ownedGauges;
-    std::deque<Histogram> _ownedHistograms;
 
     std::vector<Binding> _bindings;
 };

@@ -318,10 +318,4 @@ AbftBackend::timeoutPop(int port)
     return 0;
 }
 
-void
-AbftBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("abft"));
-}
-
 } // namespace commguard

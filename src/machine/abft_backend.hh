@@ -73,19 +73,6 @@ struct AbftCounters
         registry.link(prefix + "/strayItems", strayItems);
         registry.link(prefix + "/timeoutPads", timeoutPads);
     }
-
-    void
-    exportTo(StatGroup &group) const
-    {
-        group.set("checksumBlocks", checksumBlocks);
-        group.set("droppedChecksums", droppedChecksums);
-        group.set("mismatchBlocks", mismatchBlocks);
-        group.set("correctedItems", correctedItems);
-        group.set("uncorrectableBlocks", uncorrectableBlocks);
-        group.set("shortBlocks", shortBlocks);
-        group.set("strayItems", strayItems);
-        group.set("timeoutPads", timeoutPads);
-    }
 };
 
 /**
@@ -128,8 +115,6 @@ class AbftBackend : public CommBackend
     Word timeoutPop(int port) override;
     void timeoutPush(int port) override;
     void timeoutFrameEvent() override;
-
-    void exportStats(StatGroup &group) const override;
 
     void
     linkMetrics(metrics::Registry &registry,

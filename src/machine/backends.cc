@@ -301,10 +301,4 @@ CommGuardBackend::timeoutFrameEvent()
     }
 }
 
-void
-CommGuardBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("commguard"));
-}
-
 } // namespace commguard

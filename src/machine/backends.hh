@@ -128,8 +128,6 @@ class CommGuardBackend : public CommBackend
      */
     ActiveFcCounter &activeFc();
 
-    void exportStats(StatGroup &group) const;
-
     void
     linkMetrics(metrics::Registry &registry,
                 const std::string &prefix) override

@@ -17,7 +17,6 @@
 #include <string>
 
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "queue/queue_base.hh"
 
@@ -114,13 +113,6 @@ class CommBackend
      * charges the flush penalty at every frame start.
      */
     virtual bool serializesFrames() const { return false; }
-
-    /** Publish backend statistics (CommGuard suboperations) if any. */
-    virtual void
-    exportStats(StatGroup &group) const
-    {
-        (void)group;
-    }
 
     /** Register backend counters with the machine's metric registry. */
     virtual void

@@ -74,23 +74,6 @@ Core::setPpu(const PpuConfig &ppu)
 }
 
 void
-Core::addTraceSink(TraceSink *sink)
-{
-    if (sink == nullptr)
-        return;
-    if (_trace == nullptr) {
-        _trace = sink;
-        return;
-    }
-    if (_fanOut == nullptr) {
-        _fanOut = std::make_unique<FanOutSink>();
-        _fanOut->addSink(_trace);
-        _trace = _fanOut.get();
-    }
-    _fanOut->addSink(sink);
-}
-
-void
 Core::startInvocation()
 {
     _pc = 0;

@@ -21,14 +21,12 @@
 #define COMMGUARD_MACHINE_CORE_HH
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/metrics.hh"
 #include "common/recycle_pool.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 #include "isa/program.hh"
 #include "machine/comm_backend.hh"
@@ -129,23 +127,6 @@ struct CoreCounters
         registry.link(prefix + "/invocations", invocations);
         registry.link(prefix + "/blockedSlices", blockedSlices);
     }
-
-    void
-    exportTo(StatGroup &group) const
-    {
-        group.set("committedInsts", committedInsts);
-        group.set("loads", loads);
-        group.set("stores", stores);
-        group.set("queuePushes", queuePushes);
-        group.set("queuePops", queuePops);
-        group.set("registerFlips", registerFlips);
-        group.set("scopeWatchdogTrips", scopeWatchdogTrips);
-        group.set("nestedScopeTrips", nestedScopeTrips);
-        group.set("popTimeouts", popTimeouts);
-        group.set("pushTimeouts", pushTimeouts);
-        group.set("invocations", invocations);
-        group.set("blockedSlices", blockedSlices);
-    }
 };
 
 /**
@@ -181,21 +162,9 @@ class Core
     void setPpu(const PpuConfig &ppu);
 
     /** Attach an execution observer (not owned; nullptr disables). */
-    void
-    setTraceSink(TraceSink *sink)
-    {
-        _fanOut.reset();
-        _trace = sink;
-    }
+    void setTraceSink(TraceSink *sink) { _trace = sink; }
 
-    /**
-     * Attach an additional observer: with one sink attached the core
-     * dispatches to it directly; a second sink transparently installs
-     * an owned FanOutSink so all observers share the one hook pointer.
-     */
-    void addTraceSink(TraceSink *sink);
-
-    /** The active observer (a FanOutSink when several are attached). */
+    /** The attached observer, or nullptr. */
     TraceSink *traceSink() const { return _trace; }
 
     // ------------------------------------------------------------------
@@ -327,9 +296,6 @@ class Core
     PpuConfig _ppu;
     CommBackend *_backend = nullptr;
     TraceSink *_trace = nullptr;
-
-    /** Created on demand when a second trace sink is attached. */
-    std::unique_ptr<FanOutSink> _fanOut;
 
     /**
      * Registers referenced by the loaded program (excluding the

@@ -19,7 +19,7 @@ Multicore::enableEventTrace()
     for (const auto &core : _cores) {
         _tracers.push_back(std::make_unique<EventTracer>(
             *_eventTrace, _eventTrace->addTrack(core->name())));
-        core->addTraceSink(_tracers.back().get());
+        core->setTraceSink(_tracers.back().get());
     }
 }
 
@@ -50,7 +50,7 @@ Multicore::addCore(const std::string &name)
     if (_eventTrace != nullptr) {
         _tracers.push_back(std::make_unique<EventTracer>(
             *_eventTrace, _eventTrace->addTrack(name)));
-        core.addTraceSink(_tracers.back().get());
+        core.setTraceSink(_tracers.back().get());
     }
     return core;
 }
@@ -220,27 +220,6 @@ Multicore::totalCycles() const
     for (const auto &core : _cores)
         total += core->cycles();
     return total;
-}
-
-StatGroup
-Multicore::collectStats() const
-{
-    StatGroup root("machine");
-    for (std::size_t i = 0; i < _cores.size(); ++i) {
-        StatGroup &group = root.child(_cores[i]->name());
-        _cores[i]->counters().exportTo(group);
-        group.set("cycles", _cores[i]->cycles());
-        group.set("errorsInjected",
-                  _cores[i]->injector().errorsInjected());
-    }
-    for (const auto &runtime : _runtimes) {
-        runtime->backend().exportStats(
-            root.child(runtime->core().name()));
-    }
-    StatGroup &queues = root.child("queues");
-    for (const auto &queue : _queues)
-        queue->counters().exportTo(queues.child(queue->name()));
-    return root;
 }
 
 } // namespace commguard

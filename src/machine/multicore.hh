@@ -20,7 +20,6 @@
 
 #include "common/metrics.hh"
 #include "common/recycle_pool.hh"
-#include "common/stats.hh"
 #include "common/telemetry.hh"
 #include "machine/core.hh"
 #include "machine/core_runtime.hh"
@@ -156,9 +155,6 @@ class Multicore
 
     /** Sum of cycles over all cores. */
     Cycle totalCycles() const;
-
-    /** Export the full statistics tree (cores, backends, queues). */
-    StatGroup collectStats() const;
 
     /**
      * Per-run metric directory: every component registered its

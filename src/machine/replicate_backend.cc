@@ -201,10 +201,4 @@ ReplicateBackend::timeoutFrameEvent()
     }
 }
 
-void
-ReplicateBackend::exportStats(StatGroup &group) const
-{
-    _counters.exportTo(group.child("replicate"));
-}
-
 } // namespace commguard

@@ -53,17 +53,6 @@ struct ReplCounters
         registry.link(prefix + "/replayUnderflows", replayUnderflows);
         registry.link(prefix + "/flushDrops", flushDrops);
     }
-
-    void
-    exportTo(StatGroup &group) const
-    {
-        group.set("replays", replays);
-        group.set("votedWords", votedWords);
-        group.set("voteMismatches", voteMismatches);
-        group.set("votedCorrections", votedCorrections);
-        group.set("replayUnderflows", replayUnderflows);
-        group.set("flushDrops", flushDrops);
-    }
 };
 
 /**
@@ -103,8 +92,6 @@ class ReplicateBackend : public CommBackend
 
     Word timeoutPop(int port) override;
     void timeoutFrameEvent() override;
-
-    void exportStats(StatGroup &group) const override;
 
     void
     linkMetrics(metrics::Registry &registry,

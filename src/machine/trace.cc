@@ -8,147 +8,6 @@ namespace commguard
 {
 
 // ---------------------------------------------------------------------
-// FanOutSink
-// ---------------------------------------------------------------------
-
-void
-FanOutSink::addSink(TraceSink *sink)
-{
-    if (sink != nullptr)
-        _sinks.push_back(sink);
-}
-
-void
-FanOutSink::onCommit(const Core &core, Count pc, const isa::Inst &inst)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onCommit(core, pc, inst);
-}
-
-void
-FanOutSink::onInvocationStart(const Core &core)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onInvocationStart(core);
-}
-
-void
-FanOutSink::onErrorInjected(const Core &core, isa::Reg reg, int bit)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onErrorInjected(core, reg, bit);
-}
-
-void
-FanOutSink::onQueuePush(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueuePush(core, port);
-}
-
-void
-FanOutSink::onQueuePop(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueuePop(core, port);
-}
-
-void
-FanOutSink::onQueueBlock(const Core &core, int port, bool is_pop)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueueBlock(core, port, is_pop);
-}
-
-void
-FanOutSink::onQueueUnblock(const Core &core, int port, bool is_pop)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueueUnblock(core, port, is_pop);
-}
-
-void
-FanOutSink::onQueueCorrupt(const Core &core, const QueueBase &queue)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueueCorrupt(core, queue);
-}
-
-void
-FanOutSink::onQueueDepth(const Core &core, const QueueBase &queue,
-                         std::size_t depth)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onQueueDepth(core, queue, depth);
-}
-
-void
-FanOutSink::onPopTimeout(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onPopTimeout(core, port);
-}
-
-void
-FanOutSink::onPushTimeout(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onPushTimeout(core, port);
-}
-
-void
-FanOutSink::onWatchdogTrip(const Core &core, bool nested)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onWatchdogTrip(core, nested);
-}
-
-void
-FanOutSink::onHeaderInsert(const Core &core, int port,
-                           const QueueBase &queue, FrameId frame)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onHeaderInsert(core, port, queue, frame);
-}
-
-void
-FanOutSink::onHeaderDropped(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onHeaderDropped(core, port);
-}
-
-void
-FanOutSink::onAmTransition(const Core &core, int port,
-                           std::uint8_t from, std::uint8_t to,
-                           Word info)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onAmTransition(core, port, from, to, info);
-}
-
-void
-FanOutSink::onAmPad(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onAmPad(core, port);
-}
-
-void
-FanOutSink::onAmDiscardItem(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onAmDiscardItem(core, port);
-}
-
-void
-FanOutSink::onAmDiscardHeader(const Core &core, int port)
-{
-    for (TraceSink *sink : _sinks)
-        sink->onAmDiscardHeader(core, port);
-}
-
-// ---------------------------------------------------------------------
 // TextTracer
 // ---------------------------------------------------------------------
 

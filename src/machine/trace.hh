@@ -11,8 +11,7 @@
  *
  * This is the single dispatch point for every observer: the
  * human-readable TextTracer, the binary EventTracer, and any test
- * double all implement TraceSink; FanOutSink composes several sinks
- * behind one core-side pointer so no second hook mechanism exists.
+ * double all implement TraceSink, and a core holds at most one sink.
  */
 
 #ifndef COMMGUARD_MACHINE_TRACE_HH
@@ -20,7 +19,6 @@
 
 #include <cstdint>
 #include <ostream>
-#include <vector>
 
 #include "common/event_trace.hh"
 #include "common/types.hh"
@@ -209,45 +207,6 @@ class TraceSink
         (void)core;
         (void)port;
     }
-};
-
-/**
- * Composes several sinks behind the core's single observer pointer.
- * Sinks are not owned and are invoked in registration order.
- */
-class FanOutSink : public TraceSink
-{
-  public:
-    void addSink(TraceSink *sink);
-
-    void onCommit(const Core &core, Count pc,
-                  const isa::Inst &inst) override;
-    void onInvocationStart(const Core &core) override;
-    void onErrorInjected(const Core &core, isa::Reg reg,
-                         int bit) override;
-    void onQueuePush(const Core &core, int port) override;
-    void onQueuePop(const Core &core, int port) override;
-    void onQueueBlock(const Core &core, int port, bool is_pop) override;
-    void onQueueUnblock(const Core &core, int port,
-                        bool is_pop) override;
-    void onQueueCorrupt(const Core &core,
-                        const QueueBase &queue) override;
-    void onQueueDepth(const Core &core, const QueueBase &queue,
-                      std::size_t depth) override;
-    void onPopTimeout(const Core &core, int port) override;
-    void onPushTimeout(const Core &core, int port) override;
-    void onWatchdogTrip(const Core &core, bool nested) override;
-    void onHeaderInsert(const Core &core, int port,
-                        const QueueBase &queue, FrameId frame) override;
-    void onHeaderDropped(const Core &core, int port) override;
-    void onAmTransition(const Core &core, int port, std::uint8_t from,
-                        std::uint8_t to, Word info) override;
-    void onAmPad(const Core &core, int port) override;
-    void onAmDiscardItem(const Core &core, int port) override;
-    void onAmDiscardHeader(const Core &core, int port) override;
-
-  private:
-    std::vector<TraceSink *> _sinks;
 };
 
 /**

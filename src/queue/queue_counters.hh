@@ -4,15 +4,13 @@
  *
  * Queue pushes/pops happen tens of millions of times per run, so these
  * are plain embedded metrics::Counter members; linkTo() publishes them
- * into the per-run metrics registry and exportTo() into the named
- * StatGroup hierarchy for debug dumps.
+ * into the per-run metrics registry.
  */
 
 #ifndef COMMGUARD_QUEUE_QUEUE_COUNTERS_HH
 #define COMMGUARD_QUEUE_QUEUE_COUNTERS_HH
 
 #include "common/metrics.hh"
-#include "common/stats.hh"
 #include "common/types.hh"
 
 namespace commguard
@@ -63,26 +61,6 @@ struct QueueCounters
         registry.link(prefix + "/overflowDrops", overflowDrops);
         registry.link(prefix + "/illegalPushes", illegalPushes);
         registry.link(prefix + "/illegalPops", illegalPops);
-    }
-
-    /** Publish all counters into @p group. */
-    void
-    exportTo(StatGroup &group) const
-    {
-        group.set("pushes", pushes);
-        group.set("pops", pops);
-        group.set("pushBlocked", pushBlocked);
-        group.set("popBlocked", popBlocked);
-        group.set("headCorruptions", headCorruptions);
-        group.set("tailCorruptions", tailCorruptions);
-        group.set("itemCorruptions", itemCorruptions);
-        group.set("worksetSwitches", worksetSwitches);
-        group.set("worksetEccOps", worksetEccOps);
-        group.set("underflowPops", underflowPops);
-        group.set("headersCollected", headersCollected);
-        group.set("overflowDrops", overflowDrops);
-        group.set("illegalPushes", illegalPushes);
-        group.set("illegalPops", illegalPops);
     }
 };
 

@@ -1,5 +1,6 @@
 #include "sim/protection.hh"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/logging.hh"
@@ -33,7 +34,76 @@ makeReliableQueue(const std::string &name, std::size_t capacity,
     return std::make_unique<ReliableQueue>(name, capacity, recycle);
 }
 
+/** Distinct repair leaves over every registered mode. */
+std::vector<std::string_view>
+repairLeafUnion()
+{
+    const ProtectionRegistry &registry = ProtectionRegistry::instance();
+    std::vector<std::string_view> leaves;
+    for (const ProtectionMode mode : registry.modes()) {
+        for (const std::string &leaf :
+             registry.describe(mode).repairLeaves) {
+            if (std::find(leaves.begin(), leaves.end(), leaf) ==
+                leaves.end())
+                leaves.push_back(leaf);
+        }
+    }
+    return leaves;
+}
+
 } // namespace
+
+SourceFramer::SourceFramer(SourceFraming framing, Count items_per_frame,
+                           Count frames_per_block)
+    : _framing(framing), _itemsPerFrame(items_per_frame),
+      _framesPerBlock(frames_per_block ? frames_per_block : 1)
+{}
+
+void
+SourceFramer::appendFrames(const Word *values, Count frames,
+                           std::vector<QueueWord> &out)
+{
+    const bool headers = _framing == SourceFraming::Headers;
+    const bool checksums = _framing == SourceFraming::Checksums;
+    for (Count f = 0; f < frames; ++f) {
+        if (headers && _frames % _framesPerBlock == 0) {
+            out.push_back(makeHeader(
+                static_cast<FrameId>(_frames / _framesPerBlock + 1)));
+        }
+        // The running sums are cheap enough to keep for every framing;
+        // only Checksums emits them.
+        for (Count i = 0; i < _itemsPerFrame; ++i) {
+            const Word value = *values++;
+            out.push_back(makeItem(value));
+            _sumS += value;
+            _sumW += static_cast<Word>(++_blockItems) * value;
+        }
+        ++_frames;
+        if (checksums && _frames % _framesPerBlock == 0)
+            sealBlock(out);
+    }
+}
+
+void
+SourceFramer::finish(std::vector<QueueWord> &out)
+{
+    if (_framing == SourceFraming::Headers)
+        out.push_back(makeHeader(endOfComputationId));
+    else if (_framing == SourceFraming::Checksums)
+        sealBlock(out);
+}
+
+void
+SourceFramer::sealBlock(std::vector<QueueWord> &out)
+{
+    if (_blockItems > 0) {
+        out.push_back(makeHeader(static_cast<FrameId>(_sumS)));
+        out.push_back(makeHeader(static_cast<FrameId>(_sumW)));
+    }
+    _sumS = 0;
+    _sumW = 0;
+    _blockItems = 0;
+}
 
 ProtectionRegistry &
 ProtectionRegistry::instance()
@@ -81,6 +151,7 @@ ProtectionRegistry::ProtectionRegistry()
             "reliable queue managers per core";
         commguard.paperRef = "Paper §4-5, Fig. 3d";
         commguard.sourceFraming = SourceFraming::Headers;
+        commguard.repairLeaves = {"paddedItems", "discardedItems"};
         commguard.makeEdgeQueue =
             [](const std::string &name, std::size_t capacity,
                RecyclePool<QueueWord> *recycle) {
@@ -105,6 +176,7 @@ ProtectionRegistry::ProtectionRegistry()
             "PAPERS.md: task-replication futures (Fernandes de Oliveira "
             "et al.)";
         replicate.sourceFraming = SourceFraming::Plain;
+        replicate.repairLeaves = {"votedCorrections"};
         replicate.makeEdgeQueue = makeReliableQueue;
         replicate.makeBackend = [](const BackendSpec &spec) {
             return std::make_unique<ReplicateBackend>(
@@ -122,6 +194,7 @@ ProtectionRegistry::ProtectionRegistry()
         abft.paperRef =
             "Huang & Abraham ABFT; PAPERS.md FT-GEMM checksum methods";
         abft.sourceFraming = SourceFraming::Checksums;
+        abft.repairLeaves = {"correctedItems"};
         abft.makeEdgeQueue = makeSoftwareQueue;
         abft.makeBackend = [](const BackendSpec &spec) {
             return std::make_unique<AbftBackend>(
@@ -253,6 +326,23 @@ bool
 tryParseProtectionMode(const std::string &name, ProtectionMode *out)
 {
     return ProtectionRegistry::instance().tryParse(name, out);
+}
+
+bool
+isRepairCounter(std::string_view name)
+{
+    const std::vector<std::string_view> leaves = repairLeafUnion();
+    return std::find(leaves.begin(), leaves.end(),
+                     metrics::leafName(name)) != leaves.end();
+}
+
+Count
+repairTotal(const metrics::MetricSnapshot &snapshot)
+{
+    Count sum = 0;
+    for (const std::string_view leaf : repairLeafUnion())
+        sum += snapshot.total(leaf);
+    return sum;
 }
 
 } // namespace commguard::protection

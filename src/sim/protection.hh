@@ -8,12 +8,13 @@
  * backend class per value. This module inverts that: a protection mode
  * is an opaque id minted by the ProtectionRegistry, and everything the
  * rest of the system needs to know about it — its canonical name, its
- * edge-queue substrate, its per-core CommBackend factory, and the
- * loader hooks for source framing and cost accounting — lives in a
- * self-describing ModeDescriptor. The loader, the experiment layer,
- * the JSONL/BENCH exporters, the fuzz harness, and the scenario
- * registry all iterate the registry instead of switching on the enum,
- * so adding a protection mode is one registration, not surgery.
+ * edge-queue substrate, its per-core CommBackend factory, its repair
+ * counters, and the loader hooks for source framing and cost
+ * accounting — lives in a self-describing ModeDescriptor. The loader,
+ * the experiment layer, the JSONL/BENCH exporters, the fuzz harness,
+ * and the scenario registry all iterate the registry instead of
+ * switching on the enum, so adding a protection mode is one
+ * registration, not surgery.
  *
  * Built-in modes (registered in id order, names are the JSONL schema
  * vocabulary):
@@ -36,8 +37,10 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
+#include "common/metrics.hh"
 #include "common/recycle_pool.hh"
 #include "common/types.hh"
 #include "machine/comm_backend.hh"
@@ -66,6 +69,56 @@ enum class SourceFraming
     Plain,      //!< Data items only.
     Headers,    //!< CommGuard frame headers before each frame block.
     Checksums,  //!< ABFT checksum header-words after each block.
+};
+
+/**
+ * The reliable input device's framer: turns input values into the
+ * source stream the mode's first consumer expects. It keeps its
+ * position across calls, so the batch loader can pre-fill a whole run
+ * and the service driver can append burst after burst through the one
+ * implementation.
+ */
+class SourceFramer
+{
+  public:
+    SourceFramer() = default;
+
+    /**
+     * @param framing          Words the device adds around the items.
+     * @param items_per_frame  Input items per frame.
+     * @param frames_per_block Frames per protection block (the source
+     *                         node's frame scale; 0 reads as 1).
+     */
+    SourceFramer(SourceFraming framing, Count items_per_frame,
+                 Count frames_per_block);
+
+    SourceFraming framing() const { return _framing; }
+
+    /**
+     * Append @p frames frames read from @p values (items_per_frame
+     * each) to @p out. Headers: a frame header before each block, ids
+     * from 1. Checksums: the S/W checksum header pair after each full
+     * block.
+     */
+    void appendFrames(const Word *values, Count frames,
+                      std::vector<QueueWord> &out);
+
+    /**
+     * Close the stream. Headers: the end-of-computation header.
+     * Checksums: the checksums of a final partial block, if any.
+     */
+    void finish(std::vector<QueueWord> &out);
+
+  private:
+    void sealBlock(std::vector<QueueWord> &out);
+
+    SourceFraming _framing = SourceFraming::Plain;
+    Count _itemsPerFrame = 0;
+    Count _framesPerBlock = 1;
+    Count _frames = 0;      //!< Frames appended so far.
+    Count _blockItems = 0;  //!< Items in the open block.
+    Word _sumS = 0;         //!< Open block's plain checksum.
+    Word _sumW = 0;         //!< Open block's position-weighted checksum.
 };
 
 /**
@@ -120,6 +173,13 @@ struct ModeDescriptor
 
     /** Input-device framing this mode's consumers expect. */
     SourceFraming sourceFraming = SourceFraming::Plain;
+
+    /**
+     * Counter leaves (metrics::leafName) that count this mode's repair
+     * actions. Every "repairs" figure reads them through
+     * isRepairCounter() and repairTotal().
+     */
+    std::vector<std::string> repairLeaves;
 
     /** Edge-queue substrate factory. Required. */
     std::function<std::unique_ptr<QueueBase>(
@@ -204,6 +264,18 @@ ProtectionMode parseProtectionMode(const std::string &name);
 /** Non-fatal parse for tools that want exit-code control. */
 bool tryParseProtectionMode(const std::string &name,
                             ProtectionMode *out);
+
+/**
+ * Whether @p name counts repairs: its metrics::leafName() is in some
+ * registered mode's repairLeaves.
+ */
+bool isRepairCounter(std::string_view name);
+
+/**
+ * Repaired items in @p snapshot: snapshot.total(leaf) summed once for
+ * each distinct leaf in the registered modes' repairLeaves.
+ */
+Count repairTotal(const metrics::MetricSnapshot &snapshot);
 
 } // namespace commguard::protection
 

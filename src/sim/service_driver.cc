@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "queue/queue_word.hh"
 #include "sim/protection.hh"
-#include "sim/telemetry_export.hh"
 
 namespace commguard::sim
 {
@@ -76,11 +75,11 @@ enum class CounterKind : std::uint8_t
 {
     Other,
     Error,     //!< node/<name>/errorsInjected
-    Repair,    //!< repair-action leaves (padded/discarded/voted/...)
+    Repair,    //!< protection::isRepairCounter()
     Underflow, //!< queue/source/underflowPops
 };
 
-/** "node/F1/errorsInjected" / "cg/F1/paddedItems" → "F1". */
+/** "node/F1/errorsInjected" / "cg/F1/headerLoads" → "F1". */
 std::string
 middleComponent(const std::string &name)
 {
@@ -91,14 +90,6 @@ middleComponent(const std::string &name)
     if (second == std::string::npos)
         return name.substr(first + 1);
     return name.substr(first + 1, second - first - 1);
-}
-
-bool
-endsWith(const std::string &name, const char *leaf)
-{
-    const std::size_t n = std::char_traits<char>::length(leaf);
-    return name.size() >= n &&
-           name.compare(name.size() - n, n, leaf) == 0;
 }
 
 } // namespace
@@ -156,12 +147,6 @@ ServiceDriver::run()
     Multicore &machine = *app.machine;
     const int num_nodes = application.graph.numNodes();
     const Count items_per_frame = app.frames.inputItemsPerFrame;
-    const protection::SourceFraming framing =
-        load.guardSourceEdge
-            ? protection::ProtectionRegistry::instance()
-                  .describe(load.mode)
-                  .sourceFraming
-            : protection::SourceFraming::Plain;
 
     ServiceOutcome outcome;
     outcome.outputChecksum = kFnvOffset;
@@ -242,49 +227,30 @@ ServiceDriver::run()
     }
 
     // --------------------------------------------------------------
-    // Streaming source framing: the reliable input device appends the
-    // same framed words the batch loader would pre-fill, one burst at
-    // a time (docs/SERVICE.md).
+    // Streaming source: the reliable input device frames each burst
+    // through the loader's SourceFramer, so the appended words are the
+    // ones a batch load would pre-fill (docs/SERVICE.md). The input
+    // repeats when the run outlasts it.
     // --------------------------------------------------------------
     SourceQueue &source = *app.source;
     CollectorQueue &collector = *app.collector;
+    std::vector<Word> burst_values;
     std::vector<QueueWord> frame_words;
     std::size_t input_cursor = 0;
     const std::vector<Word> &input = application.input;
     Count admitted = 0;
     auto admit_frames = [&](Count frames) {
+        burst_values.resize(frames * items_per_frame);
+        for (Word &value : burst_values) {
+            value = input.empty() ? 0
+                                  : input[input_cursor++ % input.size()];
+        }
         frame_words.clear();
-        for (Count f = 0; f < frames; ++f) {
-            const Count inv = admitted + f;
-            if (framing == protection::SourceFraming::Headers) {
-                frame_words.push_back(
-                    makeHeader(static_cast<FrameId>(inv + 1)));
-            }
-            Word sum_s = 0;
-            Word sum_w = 0;
-            for (Count i = 0; i < items_per_frame; ++i) {
-                const Word value =
-                    input.empty()
-                        ? 0
-                        : input[input_cursor++ % input.size()];
-                frame_words.push_back(makeItem(value));
-                if (framing == protection::SourceFraming::Checksums) {
-                    sum_s += value;
-                    sum_w += static_cast<Word>(i + 1) * value;
-                }
-            }
-            if (framing == protection::SourceFraming::Checksums) {
-                frame_words.push_back(
-                    makeHeader(static_cast<FrameId>(sum_s)));
-                frame_words.push_back(
-                    makeHeader(static_cast<FrameId>(sum_w)));
-            }
-        }
+        app.sourceFramer.appendFrames(burst_values.data(), frames,
+                                      frame_words);
         admitted += frames;
-        if (admitted == _config.totalFrames &&
-            framing == protection::SourceFraming::Headers) {
-            frame_words.push_back(makeHeader(endOfComputationId));
-        }
+        if (admitted == _config.totalFrames)
+            app.sourceFramer.finish(frame_words);
         source.append(frame_words.data(), frame_words.size());
         outcome.maxBacklogWords =
             std::max(outcome.maxBacklogWords, source.size());
@@ -325,10 +291,10 @@ ServiceDriver::run()
         counter_nodes.assign(names.size(), std::string());
         for (std::size_t i = 0; i < names.size(); ++i) {
             const std::string &name = names[i];
-            if (endsWith(name, "/errorsInjected") &&
+            if (metrics::leafName(name) == "errorsInjected" &&
                 name.compare(0, 5, "node/") == 0) {
                 counter_kinds[i] = CounterKind::Error;
-            } else if (telemetryRepairLeaf(name)) {
+            } else if (protection::isRepairCounter(name)) {
                 counter_kinds[i] = CounterKind::Repair;
             } else if (name == "queue/source/underflowPops") {
                 counter_kinds[i] = CounterKind::Underflow;

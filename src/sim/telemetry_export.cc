@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <mutex>
 #include <sstream>
@@ -14,6 +13,7 @@
 #include "common/logging.hh"
 #include "common/telemetry.hh"
 #include "sim/env_options.hh"
+#include "sim/protection.hh"
 #include "sim/result_cache.hh"
 
 namespace commguard::sim
@@ -29,29 +29,6 @@ monotonicSeconds()
     return std::chrono::duration<double>(
                clock::now().time_since_epoch())
         .count();
-}
-
-/** Repair leaves summed into the boards' "repairs" aggregate (the
- *  pareto_protection "repaired items" definition). */
-bool
-isRepairLeaf(const std::string &name)
-{
-    auto ends_with = [&name](const char *leaf) {
-        const std::size_t n = std::strlen(leaf);
-        return name.size() >= n &&
-               name.compare(name.size() - n, n, leaf) == 0;
-    };
-    return ends_with("/paddedItems") || ends_with("/discardedItems") ||
-           ends_with("/votedCorrections") ||
-           ends_with("/correctedItems");
-}
-
-Count
-outcomeRepairs(const RunOutcome &outcome)
-{
-    return outcome.paddedItems() + outcome.discardedItems() +
-           outcome.snapshot.total("votedCorrections") +
-           outcome.snapshot.total("correctedItems");
 }
 
 /** Finite plotting value for a quality sample (+inf dB = error-free
@@ -89,15 +66,12 @@ extractStageSeries(const RunDescriptor &descriptor,
     const std::vector<std::string> &names = recorder.names();
     std::vector<Kind> kinds(names.size(), Kind::Other);
     for (std::size_t i = 0; i < names.size(); ++i) {
-        const std::string &name = names[i];
-        if (name.size() >= 14 &&
-            name.compare(name.size() - 14, 14, "committedInsts") == 0)
+        const std::string_view leaf = metrics::leafName(names[i]);
+        if (leaf == "committedInsts")
             kinds[i] = Kind::Work;
-        else if (name.size() >= 13 &&
-                 name.compare(name.size() - 13, 13, "blockedSlices") ==
-                     0)
+        else if (leaf == "blockedSlices")
             kinds[i] = Kind::Blocked;
-        else if (isRepairLeaf(name))
+        else if (protection::isRepairCounter(names[i]))
             kinds[i] = Kind::Repair;
     }
 
@@ -641,12 +615,6 @@ StatusLine::finish(const std::string &text)
         active.line = nullptr;
 }
 
-bool
-telemetryRepairLeaf(const std::string &name)
-{
-    return isRepairLeaf(name);
-}
-
 std::string
 formatRateEta(std::size_t done, std::size_t total,
               double elapsed_seconds)
@@ -707,7 +675,7 @@ SweepHealthBoard::observe(std::size_t done, std::size_t total,
     ModeAggregate &aggregate =
         _modes[protection::protectionModeName(descriptor.options.mode)];
     ++aggregate.runs;
-    aggregate.repairs += outcomeRepairs(outcome);
+    aggregate.repairs += protection::repairTotal(outcome.snapshot);
 
     const ThreadPool::Stats stats = _runner->poolStats();
     auto delta = [](Count a, Count b) { return a >= b ? a - b : 0; };

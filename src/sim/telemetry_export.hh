@@ -76,14 +76,6 @@ void telemetryReportAdd(const std::vector<RunDescriptor> &batch,
 void writeTelemetryReport(const std::string &path);
 
 /**
- * Whether @p name is a repair-action counter leaf (paddedItems,
- * discardedItems, votedCorrections, correctedItems) — the
- * pareto_protection "repaired items" definition shared by the health
- * board, the HTML report and the service driver's forensics join.
- */
-bool telemetryRepairLeaf(const std::string &name);
-
-/**
  * The health board's "rate / ETA" fragment, e.g. "12.3/s  eta 40s".
  * Degenerate inputs — no completions yet, an implausibly small elapsed
  * window (instant cache replays), or a non-finite rate — render as
@@ -136,8 +128,8 @@ class StatusLine
  * The sweep health board: attach() replaces a SweepRunner's default
  * progress printer with a live status line aggregating runs/sec, ETA,
  * ThreadPool::Stats deltas since the batch started, and per-mode
- * repair rates (padded + discarded + voted + corrected items per
- * run). The board must outlive the runner's sweeps.
+ * repair rates (protection::repairTotal() per run). The board must
+ * outlive the runner's sweeps.
  */
 class SweepHealthBoard
 {

@@ -88,18 +88,18 @@ loadGraph(const StreamGraph &graph, const std::vector<Word> &input,
             fatal("loadGraph: perCoreMtbe entries must be positive");
         return m;
     };
-    const Count source_scale = node_scale(graph.externalInput().node);
-
-    // The source edge is framed only when it is guarded at all.
-    const protection::SourceFraming framing =
-        options.guardSourceEdge ? desc.sourceFraming
-                                : protection::SourceFraming::Plain;
 
     // ------------------------------------------------------------------
-    // Input device: pre-filled source stream, framed per the mode.
+    // Input device: the source stream, framed per the mode (and only
+    // when the source edge is guarded at all). Batch loads pre-fill it
+    // here; a streaming source is appended by the service driver.
     // ------------------------------------------------------------------
     const Count items_per_inv = app.frames.inputItemsPerFrame;
     const Count needed = items_per_inv * steady_iterations;
+    app.sourceFramer = protection::SourceFramer(
+        options.guardSourceEdge ? desc.sourceFraming
+                                : protection::SourceFraming::Plain,
+        items_per_inv, node_scale(graph.externalInput().node));
     std::vector<QueueWord> source_words =
         queue_pool != nullptr ? queue_pool->acquire(0)
                               : std::vector<QueueWord>();
@@ -117,47 +117,9 @@ loadGraph(const StreamGraph &graph, const std::vector<Word> &input,
         }
 
         source_words.reserve(needed + 2 * steady_iterations + 2);
-        const Count source_block = items_per_inv * source_scale;
-        Word source_s = 0;
-        Word source_w = 0;
-        Count source_count = 0;
-        std::size_t cursor = 0;
-        for (Count inv = 0; inv < steady_iterations; ++inv) {
-            if (framing == protection::SourceFraming::Headers &&
-                inv % source_scale == 0) {
-                const FrameId id =
-                    static_cast<FrameId>(inv / source_scale + 1);
-                source_words.push_back(makeHeader(id));
-            }
-            for (Count i = 0; i < items_per_inv; ++i) {
-                const Word value = padded_input[cursor++];
-                source_words.push_back(makeItem(value));
-                if (framing == protection::SourceFraming::Checksums) {
-                    source_s += value;
-                    source_w +=
-                        static_cast<Word>(source_count + 1) * value;
-                    ++source_count;
-                    if (source_count == source_block) {
-                        source_words.push_back(makeHeader(
-                            static_cast<FrameId>(source_s)));
-                        source_words.push_back(makeHeader(
-                            static_cast<FrameId>(source_w)));
-                        source_s = 0;
-                        source_w = 0;
-                        source_count = 0;
-                    }
-                }
-            }
-        }
-        if (framing == protection::SourceFraming::Headers) {
-            source_words.push_back(makeHeader(endOfComputationId));
-        } else if (framing == protection::SourceFraming::Checksums &&
-                   source_count > 0) {
-            source_words.push_back(
-                makeHeader(static_cast<FrameId>(source_s)));
-            source_words.push_back(
-                makeHeader(static_cast<FrameId>(source_w)));
-        }
+        app.sourceFramer.appendFrames(padded_input.data(),
+                                      steady_iterations, source_words);
+        app.sourceFramer.finish(source_words);
     }
 
     auto source = std::make_unique<SourceQueue>(
@@ -167,7 +129,7 @@ loadGraph(const StreamGraph &graph, const std::vector<Word> &input,
     machine.addQueue(std::move(source));
 
     std::unique_ptr<CollectorQueue> collector;
-    if (framing == protection::SourceFraming::Headers &&
+    if (app.sourceFramer.framing() == protection::SourceFraming::Headers &&
         options.frameAlignedOutput) {
         const Count out_scale =
             node_scale(graph.externalOutput().node);
@@ -345,11 +307,8 @@ loadGraph(const StreamGraph &graph, const std::vector<Word> &input,
                 port_frame_items(queue) * steady_iterations);
         }
 
-        std::unique_ptr<CommBackend> backend =
-            desc.makeBackend(backend_spec);
-        if (auto *cg = dynamic_cast<CommGuardBackend *>(backend.get()))
-            app.cgBackends.push_back(cg);
-        CommBackend &bound = machine.addBackend(std::move(backend));
+        CommBackend &bound =
+            machine.addBackend(desc.makeBackend(backend_spec));
         machine.addRuntime(core, bound, steady_iterations);
     }
 

@@ -21,7 +21,6 @@
 #include <vector>
 
 #include "common/recycle_pool.hh"
-#include "machine/backends.hh"
 #include "machine/multicore.hh"
 #include "queue/io_queue.hh"
 #include "sim/protection.hh"
@@ -109,8 +108,12 @@ struct LoadedApp
     SourceQueue *source = nullptr;
     CollectorQueue *collector = nullptr;
 
-    /** Per-core CommGuard backends (empty unless mode == CommGuard). */
-    std::vector<CommGuardBackend *> cgBackends;
+    /**
+     * The source stream's framer. A batch load has already framed the
+     * whole input through it; with LoadOptions::streamingSource it
+     * stands at frame 0 for the service driver's bursts.
+     */
+    protection::SourceFramer sourceFramer;
 
     FrameAnalysis frames;
     Count steadyIterations = 0;

@@ -118,10 +118,11 @@ TEST_F(CgBackendTest, SerializesFrames)
 TEST_F(CgBackendTest, ExportStatsPublishesCounters)
 {
     ASSERT_EQ(_backend.newFrameComputation(), QueueOpStatus::Ok);
-    StatGroup group;
-    _backend.exportStats(group);
-    EXPECT_EQ(group.getPath("commguard/headerStores"), 1u);
-    EXPECT_EQ(group.getPath("commguard/prepareHeaderOps"), 1u);
+    metrics::Registry registry;
+    _backend.linkMetrics(registry, "f0");
+    const metrics::MetricSnapshot stats = registry.snapshot();
+    EXPECT_EQ(stats.get("cg/f0/headerStores"), 1u);
+    EXPECT_EQ(stats.get("cg/f0/prepareHeaderOps"), 1u);
 }
 
 TEST_F(CgBackendTest, FrameDownscaleSkipsHeaderInsertions)

@@ -12,6 +12,7 @@
 #include "kernels/basic.hh"
 #include "sim/experiment.hh"
 #include "streamit/loader.hh"
+#include "test_util.hh"
 
 namespace commguard
 {
@@ -145,8 +146,10 @@ TEST(Cnc, TagsBecomeFrameHeaders)
     // Each step's HI stamped one header per tag (plus the EOC marker)
     // into each outgoing collection; the producer-side counter is the
     // running tag.
-    ASSERT_EQ(app.cgBackends.size(), 3u);
-    for (CommGuardBackend *backend : app.cgBackends) {
+    const std::vector<CommGuardBackend *> cg =
+        test::commGuardBackends(*app.machine);
+    ASSERT_EQ(cg.size(), 3u);
+    for (CommGuardBackend *backend : cg) {
         EXPECT_EQ(backend->activeFc().value(),
                   static_cast<FrameId>(tags));
         EXPECT_EQ(backend->counters().headerStores,

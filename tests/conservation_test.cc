@@ -14,6 +14,7 @@
 #include "sim/experiment.hh"
 #include "sim/experiment_config.hh"
 #include "streamit/loader.hh"
+#include "test_util.hh"
 
 namespace commguard
 {
@@ -73,7 +74,7 @@ TEST_P(Conservation, ErrorFreeQueuesBalanceExactly)
     for (const auto &core : loaded.machine->cores())
         pops += core->counters().queuePops;
     Count answered = 0;
-    for (CommGuardBackend *backend : loaded.cgBackends) {
+    for (CommGuardBackend *backend : test::commGuardBackends(*loaded.machine)) {
         answered += backend->counters().acceptedItems +
                     backend->counters().paddedItems;
     }

@@ -11,6 +11,7 @@
 #include "kernels/basic.hh"
 #include "sim/experiment.hh"
 #include "streamit/loader.hh"
+#include "test_util.hh"
 
 namespace commguard::streamit
 {
@@ -76,21 +77,23 @@ TEST(FrameDomains, EdgeGranularityIsLcmOfDomains)
     ASSERT_TRUE(app.run().completed);
     EXPECT_EQ(app.output(), iota(48));
 
-    ASSERT_EQ(app.cgBackends.size(), 3u);
+    const std::vector<CommGuardBackend *> cg =
+        test::commGuardBackends(*app.machine);
+    ASSERT_EQ(cg.size(), 3u);
     // Edge N0->N1 is guarded at lcm(2,3)=6; N1->N2 at lcm(3,4)=12.
     // 24 invocations -> 4 frames on the first edge, 2 on the second,
     // plus one EOC marker per producer.
-    EXPECT_EQ(app.cgBackends[0]->outFc(0).downscale(), 6u);
-    EXPECT_EQ(app.cgBackends[1]->inFc(0).downscale(), 6u);
-    EXPECT_EQ(app.cgBackends[1]->outFc(0).downscale(), 12u);
-    EXPECT_EQ(app.cgBackends[2]->inFc(0).downscale(), 12u);
-    EXPECT_EQ(app.cgBackends[0]->outFc(0).value(), 4u);
-    EXPECT_EQ(app.cgBackends[1]->outFc(0).value(), 2u);
+    EXPECT_EQ(cg[0]->outFc(0).downscale(), 6u);
+    EXPECT_EQ(cg[1]->inFc(0).downscale(), 6u);
+    EXPECT_EQ(cg[1]->outFc(0).downscale(), 12u);
+    EXPECT_EQ(cg[2]->inFc(0).downscale(), 12u);
+    EXPECT_EQ(cg[0]->outFc(0).value(), 4u);
+    EXPECT_EQ(cg[1]->outFc(0).value(), 2u);
 
     // The source edge follows the input node's domain (scale 2):
     // 24/2 = 12 headers consumed by N0's alignment manager.
-    EXPECT_EQ(app.cgBackends[0]->inFc(0).downscale(), 2u);
-    EXPECT_EQ(app.cgBackends[0]->counters().headerLoads, 12u);
+    EXPECT_EQ(cg[0]->inFc(0).downscale(), 2u);
+    EXPECT_EQ(cg[0]->counters().headerLoads, 12u);
     // (The source's EOC marker is never popped: the thread finishes
     // its last frame without another pop.)
 }
@@ -109,9 +112,11 @@ TEST(FrameDomains, PerEdgeHeaderCountsFollowTheirDomains)
 
     // N0->N1 at lcm(1,2)=2 -> 8 headers (+EOC); N1->N2 at lcm(2,4)=4
     // -> 4 headers (+EOC); N2->collector at 4 -> 4 headers (+EOC).
-    EXPECT_EQ(app.cgBackends[0]->counters().headerStores, 9u);
-    EXPECT_EQ(app.cgBackends[1]->counters().headerStores, 5u);
-    EXPECT_EQ(app.cgBackends[2]->counters().headerStores, 5u);
+    const std::vector<CommGuardBackend *> cg =
+        test::commGuardBackends(*app.machine);
+    EXPECT_EQ(cg[0]->counters().headerStores, 9u);
+    EXPECT_EQ(cg[1]->counters().headerStores, 5u);
+    EXPECT_EQ(cg[2]->counters().headerStores, 5u);
 }
 
 TEST(FrameDomains, UniformPerNodeScaleEqualsGlobalScale)
@@ -124,7 +129,7 @@ TEST(FrameDomains, UniformPerNodeScaleEqualsGlobalScale)
         EXPECT_TRUE(app.run().completed);
         EXPECT_EQ(app.output(), iota(24));
         Count headers = 0;
-        for (CommGuardBackend *backend : app.cgBackends)
+        for (CommGuardBackend *backend : test::commGuardBackends(*app.machine))
             headers += backend->counters().headerStores;
         return headers;
     };

@@ -15,6 +15,7 @@
 #include "sim/experiment.hh"
 #include "sim/experiment_config.hh"
 #include "streamit/loader.hh"
+#include "test_util.hh"
 
 namespace commguard::streamit
 {
@@ -161,8 +162,10 @@ TEST(Loader, SourceGuardCanBeDisabledUnderCommGuard)
     EXPECT_TRUE(result.completed);
     EXPECT_EQ(app.output(), iota(12));
     // Internal edges still carry headers.
-    ASSERT_EQ(app.cgBackends.size(), 2u);
-    EXPECT_EQ(app.cgBackends[0]->counters().headerStores, 4u);
+    const std::vector<CommGuardBackend *> cg =
+        test::commGuardBackends(*app.machine);
+    ASSERT_EQ(cg.size(), 2u);
+    EXPECT_EQ(cg[0]->counters().headerStores, 4u);
 }
 
 TEST(Loader, FrameScaleReducesHeaderDensity)
@@ -182,8 +185,10 @@ TEST(Loader, FrameScaleReducesHeaderDensity)
 
     // The producer-side backends also inserted one header per frame,
     // not per invocation.
-    ASSERT_FALSE(app.cgBackends.empty());
-    EXPECT_EQ(app.cgBackends[0]->counters().prepareHeaderOps, 3u);
+    const std::vector<CommGuardBackend *> cg =
+        test::commGuardBackends(*app.machine);
+    ASSERT_FALSE(cg.empty());
+    EXPECT_EQ(cg[0]->counters().prepareHeaderOps, 3u);
     // 2 frame headers + the end-of-computation header.
 }
 
@@ -255,10 +260,12 @@ TEST(Loader, CgBackendsOnlyInCommGuardMode)
     options.injectErrors = false;
 
     options.mode = ProtectionMode::CommGuard;
-    EXPECT_EQ(loadGraph(g, iota(8), 2, options).cgBackends.size(), 2u);
+    LoadedApp guarded = loadGraph(g, iota(8), 2, options);
+    EXPECT_EQ(test::commGuardBackends(*guarded.machine).size(), 2u);
 
     options.mode = ProtectionMode::ReliableQueue;
-    EXPECT_TRUE(loadGraph(g, iota(8), 2, options).cgBackends.empty());
+    LoadedApp reliable = loadGraph(g, iota(8), 2, options);
+    EXPECT_TRUE(test::commGuardBackends(*reliable.machine).empty());
 }
 
 } // namespace

@@ -287,10 +287,10 @@ TEST(Multicore, CollectStatsExposesTree)
     machine.addRuntime(prod, pb, 2);
     machine.run();
 
-    const StatGroup stats = machine.collectStats();
-    EXPECT_GT(stats.getPath("prod/committedInsts"), 0u);
-    EXPECT_EQ(stats.getPath("prod/invocations"), 2u);
-    EXPECT_EQ(stats.getPath("queues/sink/pushes"), 8u);
+    const metrics::MetricSnapshot stats = machine.metrics().snapshot();
+    EXPECT_GT(stats.get("node/prod/committedInsts"), 0u);
+    EXPECT_EQ(stats.get("node/prod/invocations"), 2u);
+    EXPECT_EQ(stats.get("queue/sink/pushes"), 8u);
 }
 
 TEST(Multicore, GlobalWatchdogAbortsRunaway)

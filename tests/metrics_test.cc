@@ -20,7 +20,7 @@ namespace
 {
 
 // ----------------------------------------------------------------------
-// Counter / Gauge / Histogram value semantics.
+// Counter / Histogram value semantics.
 // ----------------------------------------------------------------------
 
 TEST(Counter, BehavesLikeACount)
@@ -142,9 +142,9 @@ TEST(SnapshotJson, RoundTripsExactly)
     registry.counter("node/f0/committedInsts") +=
         (Count{1} << 60) + 3;
     registry.counter("cg/f0/paddedItems") += 9;
-    registry.gauge("run/qualityDb").set(35.625);
 
     MetricSnapshot original = registry.snapshot();
+    original.setGauge("run/qualityDb", 35.625);
     const Json json = snapshotToJson(original);
     const MetricSnapshot parsed = snapshotFromJson(json);
     EXPECT_TRUE(parsed == original);

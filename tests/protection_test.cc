@@ -92,6 +92,44 @@ TEST(ProtectionRegistry, DescriptorsRoundTripNameAndId)
     }
 }
 
+TEST(ProtectionRegistry, RepairLeavesDefineTheRepairCounters)
+{
+    using protection::isRepairCounter;
+    const ProtectionRegistry &registry = ProtectionRegistry::instance();
+    using Leaves = std::vector<std::string>;
+    EXPECT_EQ(registry.describe(ProtectionMode::Raw).repairLeaves,
+              Leaves{});
+    EXPECT_EQ(registry.describe(ProtectionMode::ReliableQueue).repairLeaves,
+              Leaves{});
+    EXPECT_EQ(registry.describe(ProtectionMode::CommGuard).repairLeaves,
+              (Leaves{"paddedItems", "discardedItems"}));
+    EXPECT_EQ(registry.describe(ProtectionMode::Replicate).repairLeaves,
+              Leaves{"votedCorrections"});
+    EXPECT_EQ(registry.describe(ProtectionMode::Abft).repairLeaves,
+              Leaves{"correctedItems"});
+
+    for (ProtectionMode mode : registry.modes()) {
+        for (const std::string &leaf :
+             registry.describe(mode).repairLeaves) {
+            EXPECT_TRUE(isRepairCounter("x/F/" + leaf)) << leaf;
+            EXPECT_TRUE(isRepairCounter("x/F/" + leaf + "#2")) << leaf;
+        }
+    }
+    EXPECT_FALSE(isRepairCounter("cg/F/acceptedItems"));
+    EXPECT_FALSE(isRepairCounter("abft/F/uncorrectableBlocks#2"));
+
+    // repairTotal() sums each leaf once, "#k" duplicates included.
+    metrics::MetricSnapshot snapshot;
+    snapshot.setCounter("cg/F/paddedItems", 1);
+    snapshot.setCounter("cg/F/paddedItems#2", 2);
+    snapshot.setCounter("cg/F/discardedItems", 4);
+    snapshot.setCounter("repl/F/votedCorrections", 8);
+    snapshot.setCounter("abft/F/correctedItems#3", 16);
+    snapshot.setCounter("cg/F/acceptedItems", 32);
+    snapshot.setCounter("abft/F/uncorrectableBlocks", 64);
+    EXPECT_EQ(protection::repairTotal(snapshot), 31u);
+}
+
 TEST(ProtectionRegistry, PreRegistryAliasStillParses)
 {
     EXPECT_EQ(protection::parseProtectionMode("ppu-only"),

@@ -11,7 +11,10 @@
  *  - the incremental Multicore stepping API (stepRound()/finish())
  *    reproduces run() exactly,
  *  - per-core MTBE heterogeneity lands errors on the configured core,
- *  - config validation fatals on batch-only options.
+ *  - config validation fatals on batch-only options,
+ *  - batch ↔ service equivalence: admitting every frame in one burst
+ *    reproduces the batch run in every protection mode, and the
+ *    summary counts every error and repair the batch snapshot holds.
  */
 
 #include <gtest/gtest.h>
@@ -20,6 +23,7 @@
 #include <vector>
 
 #include "apps/app.hh"
+#include "sim/protection.hh"
 #include "sim/service_driver.hh"
 #include "sim/sweep_runner.hh"
 #include "streamit/loader.hh"
@@ -47,6 +51,33 @@ smallConfig(const apps::App &app)
     config.snapshotEveryFrames = 100;
     config.telemetrySlices = 64;
     return config;
+}
+
+/**
+ * A config that admits all of @p app's frames in one burst and fires
+ * no events: the service then executes the machine a batch run with
+ * @p load executes.
+ */
+ServiceConfig
+oneBurstConfig(const apps::App &app, const streamit::LoadOptions &load)
+{
+    ServiceConfig config;
+    config.app = &app;
+    config.load = load;
+    config.totalFrames = app.steadyIterations;
+    config.meanBurstFrames = Count{1} << 40;
+    config.maxBacklogFrames = app.steadyIterations;
+    return config;
+}
+
+/** The service summary's output checksum (FNV-1a) over @p items. */
+std::uint64_t
+outputChecksum(const std::vector<Word> &items)
+{
+    std::uint64_t checksum = 1469598103934665603ull;
+    for (Word item : items)
+        checksum = (checksum ^ item) * 1099511628211ull;
+    return checksum;
 }
 
 TEST(ServiceDriver, SameConfigProducesBitwiseIdenticalStreams)
@@ -196,6 +227,74 @@ TEST(ServiceDriver, PerCoreMtbeConcentratesErrorsOnTheBadCore)
     EXPECT_GT(bad_errors, 0u);
     EXPECT_EQ(all_errors, bad_errors)
         << "errors leaked onto cores with astronomically large MTBE";
+}
+
+TEST(ServiceDriver, OneBurstMatchesBatchRunForEveryMode)
+{
+    // Both drivers frame the source through the loader's SourceFramer,
+    // so one burst of every frame is the batch run's input stream.
+    const std::vector<apps::App> apps = {apps::makeFftApp(16),
+                                         apps::makeComplexFirApp(512)};
+    for (const apps::App &app : apps) {
+        for (const protection::ProtectionMode mode :
+             protection::ProtectionRegistry::instance().modes()) {
+            for (const bool inject : {false, true}) {
+                const streamit::LoadOptions load =
+                    sweepOptions(mode, inject, 64'000.0, 0);
+                const ServiceOutcome service =
+                    ServiceDriver(oneBurstConfig(app, load)).run();
+                const RunOutcome batch = runOnce(app, load);
+
+                const std::string label =
+                    app.name + "/" + protection::protectionModeName(mode) +
+                    (inject ? "/injected" : "/error-free");
+                EXPECT_EQ(service.bursts, 1u) << label;
+                EXPECT_EQ(service.outputItems, batch.output.size())
+                    << label;
+                EXPECT_EQ(service.outputChecksum,
+                          outputChecksum(batch.output))
+                    << label;
+                EXPECT_EQ(service.totalInstructions,
+                          batch.totalInstructions())
+                    << label;
+            }
+        }
+    }
+}
+
+TEST(ServiceDriver, DuplicateFilterNamesCountEveryRepair)
+{
+    // Every filter named "F": the registry files all but the first
+    // node's counters under "#k" names, and the summary must still
+    // count them.
+    const apps::App base = apps::makeComplexFirApp(2048);
+    apps::App app = base;
+    app.spec.clear();
+    app.graph = streamit::StreamGraph();
+    for (streamit::FilterSpec filter : base.graph.filters()) {
+        filter.name = "F";
+        app.graph.addFilter(std::move(filter));
+    }
+    for (const streamit::Edge &edge : base.graph.edges()) {
+        app.graph.connect(edge.producer, edge.outPort, edge.consumer,
+                          edge.inPort);
+    }
+    app.graph.setExternalInput(base.graph.externalInput().node,
+                               base.graph.externalInput().port);
+    app.graph.setExternalOutput(base.graph.externalOutput().node,
+                                base.graph.externalOutput().port);
+
+    const streamit::LoadOptions load = sweepOptions(
+        protection::ProtectionMode::CommGuard, true, 16'000.0, 0);
+    const ServiceOutcome service =
+        ServiceDriver(oneBurstConfig(app, load)).run();
+    const RunOutcome batch = runOnce(app, load);
+
+    ASSERT_EQ(service.bursts, 1u);
+    ASSERT_TRUE(batch.snapshot.hasCounter("node/F/errorsInjected#2"));
+    EXPECT_GT(batch.errorsInjected(), 0u);
+    EXPECT_EQ(service.errorsInjected, batch.errorsInjected());
+    EXPECT_EQ(service.repairs, protection::repairTotal(batch.snapshot));
 }
 
 TEST(ServiceDriver, RejectsBatchOnlyOptions)

@@ -2,7 +2,7 @@
  * @file
  * Shared test fixtures: a single-core kernel harness that runs one
  * filter program against scripted input streams and collects its
- * outputs, plus small helpers for float/word vectors.
+ * outputs, plus small helpers for backends and float/word vectors.
  */
 
 #ifndef COMMGUARD_TESTS_TEST_UTIL_HH
@@ -74,6 +74,22 @@ runKernel(isa::Program program,
     for (CollectorQueue *collector : collectors)
         run.outputs.push_back(collector->items());
     return run;
+}
+
+/**
+ * The CommGuard backends of @p machine's runtimes in node order (empty
+ * unless the machine was loaded in CommGuard mode).
+ */
+inline std::vector<CommGuardBackend *>
+commGuardBackends(Multicore &machine)
+{
+    std::vector<CommGuardBackend *> backends;
+    for (const auto &runtime : machine.runtimes()) {
+        if (auto *cg =
+                dynamic_cast<CommGuardBackend *>(&runtime->backend()))
+            backends.push_back(cg);
+    }
+    return backends;
 }
 
 /** Pack floats into words. */
