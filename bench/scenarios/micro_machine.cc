@@ -1,9 +1,10 @@
 /**
  * @file
  * Google-benchmark micro suite for the functional simulator itself:
- * interpreter throughput on representative kernels (simulated
- * instructions per second determine how fast the figure sweeps run)
- * and the cost of error injection. Registers as scenario
+ * interpreter throughput per opcode class — ALU, load/store, queue
+ * push/pop — and on a real kernel (IDCT), plus the cost of error
+ * injection. Simulated instructions per second determine how fast the
+ * figure sweeps run. Registers as scenario
  * `micro_machine`; its benchmarks are selected by the BM_Interpreter
  * name prefix from the process-wide google-benchmark registry.
  */
@@ -37,6 +38,35 @@ aluLoop()
         a.xor_(R2, R1, R2);
         a.slli(R3, R1, 2);
         a.add(R2, R2, R3);
+    });
+    return a.finalize();
+}
+
+/** Load/store loop: read-modify-write over a 1k-word array. */
+Program
+loadStoreLoop()
+{
+    Assembler a("ldst");
+    const Word base = a.reserve(1024);
+    a.li(R1, base);
+    a.forDown(R30, 512, [&] {
+        a.lw(R2, R1, 0);
+        a.lw(R3, R1, 1);
+        a.sw(R3, R1, 0);
+        a.sw(R2, R1, 1);
+        a.addi(R1, R1, 2);
+    });
+    return a.finalize();
+}
+
+/** Queue loop: every item popped from the source is pushed on. */
+Program
+queueLoop()
+{
+    Assembler a("queue");
+    a.forDown(R30, 1024, [&] {
+        a.pop(R1, 0);
+        a.push(0, R1);
     });
     return a.finalize();
 }
@@ -107,6 +137,24 @@ BM_InterpreterIdctKernel(benchmark::State &state)
                     std::move(input));
 }
 BENCHMARK(BM_InterpreterIdctKernel)->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterpreterLoadStoreLoop(benchmark::State &state)
+{
+    runProgramBench(state, loadStoreLoop(), false);
+}
+BENCHMARK(BM_InterpreterLoadStoreLoop)->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterpreterQueueLoop(benchmark::State &state)
+{
+    // 16 invocations x 1024 pops, all pre-filled: no pop ever blocks.
+    std::vector<Word> input(16 * 1024);
+    for (std::size_t i = 0; i < input.size(); ++i)
+        input[i] = static_cast<Word>(i);
+    runProgramBench(state, queueLoop(), false, std::move(input));
+}
+BENCHMARK(BM_InterpreterQueueLoop)->Unit(benchmark::kMicrosecond);
 
 void
 runScenario(sim::ScenarioContext &ctx)

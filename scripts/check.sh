@@ -15,7 +15,10 @@
 # the result-cache gate: cold, warm and rebuilt-binary reruns
 # byte-identical to an uncached run (docs/RESULT_CACHE.md), and the
 # service gate: serve-run byte-stable across invocations and job
-# counts with a schema-valid stream (docs/SERVICE.md).
+# counts with a schema-valid stream (docs/SERVICE.md), and the
+# benchmark gate: perfbench's regenerated run digests match
+# perfbench/ref and every workload's traced self-check reports correct
+# (perfbench/README.md).
 #
 # Usage: scripts/check.sh [--sanitize] [build-dir]   (default: build)
 #
@@ -268,6 +271,51 @@ if ! cmp -s "$SERVICE_A" "$SERVICE_B" || \
 fi
 "$JSONL_CHECK" --service "$SERVICE_A"
 echo "check.sh: service gate ok (serve-run byte-stable, stream valid)"
+
+# Benchmark gate (perfbench/README.md): build the repository benchmark
+# in Release, regenerate the digest of every selectable run of each
+# BENCHMARK.json workload into $BUILD_DIR/perfbench_check, and require
+# each one to match perfbench/ref/<workload>.txt. The comparison is by key:
+# a committed file may hold more keys than its workload now selects.
+# Then each workload's traced run must report correct, which covers
+# its workload-purpose self-check. Nothing is written under perfbench/.
+PERFBENCH_BUILD="$BUILD_DIR/perfbench"
+PERFBENCH_TMP="$BUILD_DIR/perfbench_check"
+PERFBENCH="$PERFBENCH_BUILD/perfbench"
+rm -rf "$PERFBENCH_TMP"
+mkdir -p "$PERFBENCH_TMP"
+cmake -S perfbench -B "$PERFBENCH_BUILD" -DCMAKE_BUILD_TYPE=Release
+cmake --build "$PERFBENCH_BUILD" -j "$(nproc)" --target perfbench
+WORKLOADS=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(sys.stdin)["workloads"]))' \
+    < BENCHMARK.json)
+for WORKLOAD in $WORKLOADS; do
+    "$PERFBENCH" --regenerate --workload "$WORKLOAD" \
+        --refs "$PERFBENCH_TMP" --out "$PERFBENCH_TMP/out"
+    test -s "$PERFBENCH_TMP/$WORKLOAD.txt"
+    if ! awk 'NR == FNR { ref[$1] = $2; next }
+              !($1 in ref) || ref[$1] != $2 { print "  " $0; bad = 1 }
+              END { exit bad }' \
+            "perfbench/ref/$WORKLOAD.txt" "$PERFBENCH_TMP/$WORKLOAD.txt"
+    then
+        echo "check.sh: perfbench $WORKLOAD runs above do not match" \
+             "perfbench/ref/$WORKLOAD.txt" >&2
+        exit 1
+    fi
+    "$PERFBENCH" --workload "$WORKLOAD" --seed 1 --seconds 1 --trace 1 \
+        --refs perfbench/ref --out "$PERFBENCH_TMP/out" \
+        > "$PERFBENCH_TMP/$WORKLOAD.trace"
+    if ! python3 -c 'import json, sys
+report = json.loads(sys.stdin.read().splitlines()[-1])
+sys.exit(not (report["correct"] is True and report["failed"] == 0))' \
+            < "$PERFBENCH_TMP/$WORKLOAD.trace"; then
+        echo "check.sh: perfbench $WORKLOAD traced run is not correct" \
+             "($PERFBENCH_TMP/$WORKLOAD.trace)" >&2
+        exit 1
+    fi
+done
+echo "check.sh: benchmark gate ok (digests match perfbench/ref," \
+     "traced self-checks correct for: $WORKLOADS)"
 
 if [ "$SANITIZE" -eq 1 ]; then
     # ASan/UBSan: the tier-1 suite plus a quick fuzz budget, with

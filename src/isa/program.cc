@@ -1,6 +1,7 @@
 #include "isa/program.hh"
 
 #include <sstream>
+#include <string>
 
 namespace commguard::isa
 {
@@ -37,6 +38,12 @@ validate(const Program &prog)
         return ValidationResult{false, os.str()};
     };
 
+    if (prog.memWords == 0 || prog.memWords > maxMemWords) {
+        return {false, prog.name + ": local memory of " +
+                           std::to_string(prog.memWords) +
+                           " words is outside 1.." +
+                           std::to_string(maxMemWords)};
+    }
     if (prog.data.size() > prog.memWords)
         return {false, prog.name + ": data segment exceeds local memory"};
 

@@ -32,6 +32,12 @@ struct ScopeInfo
     std::int32_t exitPc = -1;
 };
 
+/**
+ * Largest core-local memory, in words: the interpreter wraps load and
+ * store addresses in 32-bit arithmetic.
+ */
+constexpr std::size_t maxMemWords = 0xffffffffu;
+
 /** A validated, loadable unit of filter code. */
 struct Program
 {
@@ -47,7 +53,10 @@ struct Program
      */
     std::vector<Word> data;
 
-    /** Core-local memory size in words (must hold the data segment). */
+    /**
+     * Core-local memory size in words: in [1, maxMemWords] and large
+     * enough to hold the data segment.
+     */
     std::size_t memWords = 1u << 16;
 
     /** Number of input (pop) ports the code references. */
@@ -80,8 +89,8 @@ struct ValidationResult
 
 /**
  * Statically validate a program: register indices in range, branch
- * targets inside the code, ports within the declared counts, data
- * segment within memory.
+ * targets inside the code, ports within the declared counts, memory
+ * size in [1, maxMemWords], data segment within memory.
  */
 ValidationResult validate(const Program &prog);
 

@@ -24,6 +24,11 @@ Core::~Core()
 void
 Core::setProgram(isa::Program program)
 {
+    // run() wraps addresses in 32-bit arithmetic (isa::validate).
+    if (program.memWords == 0 || program.memWords > isa::maxMemWords)
+        panic("core " + _name + ": program " + program.name +
+              " needs 1.." + std::to_string(isa::maxMemWords) +
+              " memory words, has " + std::to_string(program.memWords));
     _program = std::move(program);
     // Core-local memory is the largest per-run allocation (512 KiB at
     // the default memWords); acquiring it from the per-worker pool
@@ -114,17 +119,50 @@ Core::flipRandomRegisterBit()
         _trace->onErrorInjected(*this, reg, bit);
 }
 
-void
-Core::commit(Cycle extra_cycles, Count next_pc)
+inline void
+Core::writeBack(HotState &hot)
 {
-    if (_trace != nullptr) [[unlikely]]
-        _trace->onCommit(*this, _pc, _program.code[_pc]);
-    _pc = next_pc;
-    ++_counters.committedInsts;
-    ++_instsThisInvocation;
-    _counters.cycles += 1 + extra_cycles;
-    if (--_errorCountdown == 0) [[unlikely]]
+    _pc = hot.pc;
+    _instsThisInvocation = hot.insts;
+    _errorCountdown = hot.countdown;
+    _counters.committedInsts += hot.committed;
+    _counters.cycles += hot.cycles;
+    hot.committed = 0;
+    hot.cycles = 0;
+}
+
+inline void
+Core::reload(HotState &hot) const
+{
+    hot.pc = _pc;
+    hot.insts = _instsThisInvocation;
+    hot.countdown = _errorCountdown;
+}
+
+inline void
+Core::commit(HotState &hot, Cycle extra_cycles, Count next_pc)
+{
+    if (_trace != nullptr) [[unlikely]] {
+        writeBack(hot);
+        _trace->onCommit(*this, hot.pc, _program.code[hot.pc]);
+    }
+    hot.pc = next_pc;
+    ++hot.committed;
+    ++hot.insts;
+    hot.cycles += 1 + extra_cycles;
+    if (--hot.countdown == 0) [[unlikely]] {
+        writeBack(hot);
         syncScheduledErrors();
+        reload(hot);
+    }
+}
+
+inline Count
+Core::watchdogLimit() const
+{
+    if (!_scopeStack.empty() && _scopeStack.back().deadline < _scopeBudget)
+        return _scopeStack.back().deadline;
+    return _scopeBudget;
 }
 
 void
@@ -150,7 +188,9 @@ Core::resolveBlockedPop(Word value)
         _trace->onQueuePop(*this, _blockedPort);
     }
     _blocked = false;
-    commit(_timing.queueOpCycles, _pc + 1);
+    HotState hot = holdHotState();
+    commit(hot, _timing.queueOpCycles, hot.pc + 1);
+    writeBack(hot);
 }
 
 void
@@ -166,7 +206,9 @@ Core::resolveBlockedPush()
         _trace->onQueuePush(*this, _blockedPort);
     }
     _blocked = false;
-    commit(_timing.queueOpCycles, _pc + 1);
+    HotState hot = holdHotState();
+    commit(hot, _timing.queueOpCycles, hot.pc + 1);
+    writeBack(hot);
 }
 
 void
@@ -218,26 +260,39 @@ Core::run(Count max_steps)
 
     // Hot-loop locals: the program, memory, and their sizes are fixed
     // for the whole slice, so keep them out of member-load territory.
+    // setProgram() bounds memWords to [1, 2^32 - 1], so the 32-bit
+    // remainder below equals the full-width one.
     const Inst *const code = _program.code.data();
     Word *const mem = _memory.data();
-    const std::size_t mem_words = _memory.size();
+    const Word mem_words = static_cast<Word>(_memory.size());
     Count executed = 0;
 
-    while (executed < max_steps) {
-        if (_instsThisInvocation >= _scopeBudget) {
-            // PPU watchdog: the scope ran too long (e.g., a corrupted
-            // loop counter); force the frame computation to complete.
-            ++_counters.scopeWatchdogTrips;
-            if (_trace != nullptr) [[unlikely]]
-                _trace->onWatchdogTrip(*this, false);
-            return {RunStatus::Done, executed};
-        }
+    // The hot state lives in locals for the whole slice; writeBack()
+    // publishes it before every call out of the loop and every return.
+    HotState hot = holdHotState();
+    Count limit = watchdogLimit();
+    auto finish = [&](RunStatus status) {
+        writeBack(hot);
+        return RunResult{status, executed};
+    };
 
-        // Nested scope watchdog (paper SS4.4): force the innermost
-        // over-budget scope to its exit. The jump target is a static
-        // ScopeExit instruction, so the stack unwinds naturally.
-        if (!_scopeStack.empty() &&
-            _instsThisInvocation >= _scopeStack.back().deadline) {
+    while (executed < max_steps) {
+        if (hot.insts >= limit) [[unlikely]] {
+            writeBack(hot);
+            if (hot.insts >= _scopeBudget) {
+                // PPU watchdog: the scope ran too long (e.g., a
+                // corrupted loop counter); force the frame computation
+                // to complete.
+                ++_counters.scopeWatchdogTrips;
+                if (_trace != nullptr) [[unlikely]]
+                    _trace->onWatchdogTrip(*this, false);
+                return finish(RunStatus::Done);
+            }
+
+            // Nested scope watchdog (paper SS4.4): force the innermost
+            // over-budget scope to its exit. The jump target is a
+            // static ScopeExit instruction, so the stack unwinds
+            // naturally.
             ++_counters.nestedScopeTrips;
             if (_trace != nullptr) [[unlikely]] {
                 _trace->onWatchdogTrip(*this, true);
@@ -247,21 +302,22 @@ Core::run(Count max_steps)
                     _trace->onQueueUnblock(*this, _blockedPort,
                                            _blockedIsPop);
             }
-            _pc = static_cast<Count>(_scopeStack.back().exitPc);
+            hot.pc = static_cast<Count>(_scopeStack.back().exitPc);
             _blocked = false;
+            limit = watchdogLimit();
         }
 
-        const Inst &inst = code[_pc];
-        Count next_pc = _pc + 1;
+        const Inst &inst = code[hot.pc];
+        Count next_pc = hot.pc + 1;
 
         switch (inst.op) {
           case Op::Nop:
             break;
 
           case Op::Halt:
-            commit(0, _pc);
+            commit(hot, 0, hot.pc);
             ++executed;
-            return {RunStatus::Done, executed};
+            return finish(RunStatus::Done);
 
           case Op::Li:
             _regs.write(inst.rd, inst.imm);
@@ -498,23 +554,22 @@ Core::run(Count max_steps)
           // Memory (addresses wrap: the PPU never faults).
           // ----------------------------------------------------------
           case Op::Lw: {
-            const std::size_t addr =
+            const Word addr =
                 (_regs.read(inst.rs1) + inst.imm) % mem_words;
             _regs.write(inst.rd, mem[addr]);
             ++_counters.loads;
-            commit(_timing.memExtraCycles, next_pc);
+            commit(hot, _timing.memExtraCycles, next_pc);
             ++executed;
             continue;
           }
           case Op::Sw: {
-            const std::size_t addr =
+            const Word addr =
                 (_regs.read(inst.rs1) + inst.imm) % mem_words;
             if (_journalStores) [[unlikely]]
-                _storeJournal.emplace_back(
-                    static_cast<std::uint32_t>(addr), mem[addr]);
+                _storeJournal.emplace_back(addr, mem[addr]);
             mem[addr] = _regs.read(inst.rs2);
             ++_counters.stores;
-            commit(_timing.memExtraCycles, next_pc);
+            commit(hot, _timing.memExtraCycles, next_pc);
             ++executed;
             continue;
           }
@@ -524,15 +579,20 @@ Core::run(Count max_steps)
           // ----------------------------------------------------------
           case Op::Push: {
             const int port = static_cast<int>(inst.imm);
+            // Backends call back into the core (exposeQueueWindow,
+            // chargeQueueTransfer, traceSink, ...): publish, then
+            // re-read what they may have changed.
+            writeBack(hot);
             const QueueOpStatus status =
                 _backend->push(port, _regs.read(inst.rs2));
+            reload(hot);
             if (status == QueueOpStatus::Blocked) {
                 if (_trace != nullptr && !_blocked) [[unlikely]]
                     _trace->onQueueBlock(*this, port, false);
                 _blocked = true;
                 _blockedIsPop = false;
                 _blockedPort = port;
-                return {RunStatus::Blocked, executed};
+                return finish(RunStatus::Blocked);
             }
             if (_trace != nullptr) [[unlikely]] {
                 if (_blocked)
@@ -541,7 +601,7 @@ Core::run(Count max_steps)
             }
             _blocked = false;
             ++_counters.queuePushes;
-            commit(_timing.queueOpCycles, next_pc);
+            commit(hot, _timing.queueOpCycles, next_pc);
             ++executed;
             continue;
           }
@@ -555,8 +615,8 @@ Core::run(Count max_steps)
                 if (budget < 64)
                     budget = 64;
                 _scopeStack.push_back(ScopeFrame{
-                    inst.imm, info.exitPc,
-                    _instsThisInvocation + budget});
+                    inst.imm, info.exitPc, hot.insts + budget});
+                limit = watchdogLimit();
             }
             break;
           }
@@ -566,19 +626,22 @@ Core::run(Count max_steps)
             if (!_scopeStack.empty() &&
                 _scopeStack.back().id == inst.imm) {
                 _scopeStack.pop_back();
+                limit = watchdogLimit();
             }
             break;
 
           case Op::Pop: {
             const int port = static_cast<int>(inst.imm);
+            writeBack(hot);
             const BackendPopResult result = _backend->pop(port);
+            reload(hot);
             if (result.blocked) {
                 if (_trace != nullptr && !_blocked) [[unlikely]]
                     _trace->onQueueBlock(*this, port, true);
                 _blocked = true;
                 _blockedIsPop = true;
                 _blockedPort = port;
-                return {RunStatus::Blocked, executed};
+                return finish(RunStatus::Blocked);
             }
             if (_trace != nullptr) [[unlikely]] {
                 if (_blocked)
@@ -588,7 +651,7 @@ Core::run(Count max_steps)
             _blocked = false;
             _regs.write(inst.rd, result.value);
             ++_counters.queuePops;
-            commit(_timing.queueOpCycles, next_pc);
+            commit(hot, _timing.queueOpCycles, next_pc);
             ++executed;
             continue;
           }
@@ -597,11 +660,11 @@ Core::run(Count max_steps)
             panic("core " + _name + ": invalid opcode");
         }
 
-        commit(0, next_pc);
+        commit(hot, 0, next_pc);
         ++executed;
     }
 
-    return {RunStatus::OutOfSteps, executed};
+    return finish(RunStatus::OutOfSteps);
 }
 
 } // namespace commguard

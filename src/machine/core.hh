@@ -267,8 +267,51 @@ class Core
     const std::vector<isa::Reg> &usedRegs() const { return _usedRegs; }
 
   private:
-    /** Commit the instruction at _pc: count, cycle, inject, advance. */
-    void commit(Cycle extra_cycles, Count next_pc);
+    /**
+     * The interpreter's hot state while run() holds it in locals:
+     * pc, insts and countdown stand for _pc, _instsThisInvocation and
+     * _errorCountdown; committed and cycles are the committedInsts and
+     * cycles not yet added to the counters.
+     */
+    struct HotState
+    {
+        Count pc;
+        Count insts;
+        Count countdown;
+        Count committed;
+        Cycle cycles;
+    };
+
+    /** Take the hot state into locals (no pending deltas). */
+    HotState
+    holdHotState() const
+    {
+        return {_pc, _instsThisInvocation, _errorCountdown, 0, 0};
+    }
+
+    /**
+     * Publish @p hot to the members. run() calls this before every
+     * call out of its loop and before every return, so nothing outside
+     * the loop ever sees stale state.
+     */
+    void writeBack(HotState &hot);
+
+    /** Re-read what a backend call or the error sync may change. */
+    void reload(HotState &hot) const;
+
+    /**
+     * Commit the instruction at hot.pc: trace hook, advance pc, count
+     * and cycle, then step the error countdown. The only definition of
+     * commit; both run() and the QM timeout paths go through it.
+     */
+    void commit(HotState &hot, Cycle extra_cycles, Count next_pc);
+
+    /**
+     * The instsThisInvocation at which a watchdog next trips: the
+     * smaller of the invocation budget and the innermost tracked
+     * scope's deadline.
+     */
+    Count watchdogLimit() const;
 
     /**
      * Fast-path bookkeeping for scheduled errors: the cached integer

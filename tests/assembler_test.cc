@@ -170,6 +170,24 @@ TEST(Validate, RejectsOversizedData)
     EXPECT_FALSE(validate(p).ok);
 }
 
+TEST(Validate, RejectsZeroOrOver32BitMemWords)
+{
+    // The interpreter wraps addresses with a 32-bit remainder: zero
+    // words would divide by zero, more than 2^32 - 1 would truncate.
+    Program p;
+    p.name = "mem";
+    p.memWords = 0;
+    const ValidationResult zero = validate(p);
+    EXPECT_FALSE(zero.ok);
+    EXPECT_NE(zero.message.find("local memory"), std::string::npos);
+    p.memWords = maxMemWords + 1;
+    EXPECT_FALSE(validate(p).ok);
+    p.memWords = maxMemWords;
+    EXPECT_TRUE(validate(p).ok);
+    p.memWords = 1;
+    EXPECT_TRUE(validate(p).ok);
+}
+
 // ----------------------------------------------------------------------
 // Disassembly.
 // ----------------------------------------------------------------------

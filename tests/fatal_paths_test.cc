@@ -10,6 +10,7 @@
 #include "apps/app.hh"
 #include "isa/assembler.hh"
 #include "kernels/basic.hh"
+#include "machine/core.hh"
 #include "streamit/loader.hh"
 
 namespace commguard
@@ -82,6 +83,29 @@ TEST(FatalPaths, DoubleFinalizeDies)
             a.finalize();
         },
         ::testing::ExitedWithCode(1), "finalize called twice");
+}
+
+TEST(FatalPaths, ZeroMemWordsDiesAtFinalize)
+{
+    EXPECT_EXIT(
+        {
+            Assembler a("m0");
+            a.setMemWords(0);
+            a.li(R1, 5);
+            a.lw(R2, R1, 0);
+            a.finalize();
+        },
+        ::testing::ExitedWithCode(1), "local memory of 0 words");
+}
+
+TEST(FatalPaths, CoreRejectsUnvalidatedMemWords)
+{
+    // A program that bypassed validate() must not reach the
+    // interpreter's 32-bit address wrap.
+    Program p;
+    p.name = "m0";
+    p.memWords = 0;
+    EXPECT_DEATH(Core(0, "c").setProgram(p), "memory words");
 }
 
 TEST(FatalPaths, UnknownBenchmarkDies)
