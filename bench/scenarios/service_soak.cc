@@ -63,7 +63,6 @@ runScenario(sim::ScenarioContext &ctx)
     config.meanGapSlices = 8;
     config.maxBacklogFrames = 256;
     config.snapshotEveryFrames = frames / 8;
-    config.telemetrySlices = 256;
     // Degrade one slot's error rate a quarter of the way in, then
     // live-remap the whole placement at the halfway mark — the soak
     // must ride through both without missing a frame.

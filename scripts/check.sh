@@ -111,7 +111,7 @@ CG_FUZZ_BUDGET="${CG_FUZZ_BUDGET:-10}" "$CG_FUZZ" run --seed=1
 
 # Stress-fuzz, failure path: a deliberately broken invariant must be
 # caught, shrunk, written as a valid repro bundle, and reproduced by
-# the replay tools with their documented exit codes.
+# `cg_fuzz replay` with its documented exit code.
 BUNDLE="$BUILD_DIR/fuzz_check_bundle.json"
 rm -f "$BUNDLE"
 if "$CG_FUZZ" run --cases=1 --break=counter --out="$BUNDLE"; then
@@ -122,11 +122,10 @@ test -s "$BUNDLE"
 "$JSONL_CHECK" --repro "$BUNDLE"
 set +e
 "$CG_FUZZ" replay "$BUNDLE"; FUZZ_REPLAY=$?
-"$CG_BENCH" replay "$BUNDLE"; BENCH_REPLAY=$?
 set -e
-if [ "$FUZZ_REPLAY" -ne 1 ] || [ "$BENCH_REPLAY" -ne 1 ]; then
-    echo "check.sh: repro bundle did not reproduce (cg_fuzz=$FUZZ_REPLAY" \
-         "cg_bench=$BENCH_REPLAY, expected 1)" >&2
+if [ "$FUZZ_REPLAY" -ne 1 ]; then
+    echo "check.sh: repro bundle did not reproduce (cg_fuzz replay" \
+         "exited $FUZZ_REPLAY, expected 1)" >&2
     exit 1
 fi
 
@@ -254,10 +253,17 @@ echo "check.sh: cache gate ok (cold, warm and rebuilt-binary reruns" \
 # be bitwise deterministic — the same config yields identical JSONL and
 # summary bytes across invocations and CG_JOBS settings — and its
 # stream must validate against the service schema (meta first, exactly
-# one summary, consecutive snapshots, monotone admission).
+# one summary, consecutive snapshots, monotone admission, typed
+# errors_injected/repairs counts that reconcile with the deltas and the
+# summary). A stream with the first snapshot's repairs, or the
+# summary's, raised by 1 must be rejected, and a --seed that does not
+# fit the seed derivation must be a usage error (exit 2), not a
+# silently wrapped seed.
 SERVICE_A="$BUILD_DIR/service_a.jsonl"
 SERVICE_B="$BUILD_DIR/service_b.jsonl"
-rm -f "$SERVICE_A" "$SERVICE_A.summary" "$SERVICE_B" "$SERVICE_B.summary"
+SERVICE_BAD="$BUILD_DIR/service_bad.jsonl"
+rm -f "$SERVICE_A" "$SERVICE_A.summary" "$SERVICE_B" "$SERVICE_B.summary" \
+    "$SERVICE_BAD"
 "$CG_BENCH" serve-run --frames=4000 --mtbe=64000 --snapshot-frames=1000 \
     --degrade=1000:1:8 --remap=2000:1 --out="$SERVICE_A" \
     > "$SERVICE_A.summary"
@@ -270,7 +276,32 @@ if ! cmp -s "$SERVICE_A" "$SERVICE_B" || \
     exit 1
 fi
 "$JSONL_CHECK" --service "$SERVICE_A"
-echo "check.sh: service gate ok (serve-run byte-stable, stream valid)"
+for RECORD in snapshot summary; do
+    python3 -c 'import json, sys
+lines = sys.stdin.read().splitlines()
+i = next(n for n, line in enumerate(lines)
+         if json.loads(line)["type"] == sys.argv[1])
+record = json.loads(lines[i])
+record["repairs"] += 1
+lines[i] = json.dumps(record, separators=(",", ":"), sort_keys=True)
+print("\n".join(lines))' "$RECORD" < "$SERVICE_A" > "$SERVICE_BAD"
+    if "$JSONL_CHECK" --service "$SERVICE_BAD" > /dev/null 2>&1; then
+        echo "check.sh: jsonl_check --service missed a $RECORD whose" \
+             "repairs do not reconcile" >&2
+        exit 1
+    fi
+done
+set +e
+"$CG_BENCH" serve-run --seed=4294967296 --frames=1 > /dev/null 2>&1
+SEED_EXIT=$?
+set -e
+if [ "$SEED_EXIT" -ne 2 ]; then
+    echo "check.sh: serve-run --seed=4294967296 exited $SEED_EXIT," \
+         "expected 2 (out of range)" >&2
+    exit 1
+fi
+echo "check.sh: service gate ok (serve-run byte-stable, stream valid," \
+     "unreconciled repairs rejected, out-of-range seed rejected)"
 
 # Benchmark gate (perfbench/README.md): build the repository benchmark
 # in Release, regenerate the digest of every selectable run of each

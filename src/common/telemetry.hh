@@ -97,8 +97,6 @@ class TelemetryRecorder
     void sample(const metrics::Registry &registry, Count slice,
                 Cycle cycles, bool final = false);
 
-    const TelemetryConfig &config() const { return _config; }
-
     /** Counter-name table (sorted, fixed at the first sample). */
     const std::vector<std::string> &names() const { return _names; }
 
@@ -113,9 +111,6 @@ class TelemetryRecorder
 
     /** Samples folded into the base when the ring overflowed. */
     Count droppedSamples() const { return _dropped; }
-
-    /** Per-counter totals of the folded (dropped) samples. */
-    const std::vector<Count> &base() const { return _base; }
 
     /**
      * base + every retained delta: the registry's counter values as of

@@ -5,34 +5,21 @@
 namespace commguard
 {
 
-void
-Multicore::enableEventTrace()
+Multicore::Multicore(MachineConfig config)
+    : _config(config),
+      _timeoutsFired(_metrics.counter("machine/timeoutsFired")),
+      _deadlockBreaks(_metrics.counter("machine/deadlockBreaks"))
 {
-    if (_eventTrace != nullptr)
-        return;
-    _eventTrace = std::make_shared<trace::EventTrace>(
-        _config.traceCapacityPerTrack);
-    _machineTrack = &_eventTrace->addTrack("machine");
-    // Retro-wire components added before tracing was enabled.
-    for (const auto &queue : _queues)
-        _eventTrace->registerQueue(queue.get(), queue->name());
-    for (const auto &core : _cores) {
-        _tracers.push_back(std::make_unique<EventTracer>(
-            *_eventTrace, _eventTrace->addTrack(core->name())));
-        core->setTraceSink(_tracers.back().get());
+    if (_config.traceEvents) {
+        _eventTrace = std::make_shared<trace::EventTrace>(
+            _config.traceCapacityPerTrack);
+        _machineTrack = &_eventTrace->addTrack("machine");
     }
-}
-
-void
-Multicore::enableTelemetry()
-{
-    if (_telemetry != nullptr)
-        return;
-    if (_config.telemetrySlices == 0)
-        _config.telemetrySlices = 1;
-    _telemetry = std::make_shared<telemetry::TelemetryRecorder>(
-        telemetry::TelemetryConfig{_config.telemetrySlices,
-                                   _config.telemetryRingCapacity});
+    if (_config.telemetrySlices > 0) {
+        _telemetry = std::make_shared<telemetry::TelemetryRecorder>(
+            telemetry::TelemetryConfig{_config.telemetrySlices,
+                                       _config.telemetryRingCapacity});
+    }
 }
 
 Core &

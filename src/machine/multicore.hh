@@ -81,16 +81,13 @@ struct MachineRunResult
 class Multicore
 {
   public:
-    explicit Multicore(MachineConfig config = {})
-        : _config(config),
-          _timeoutsFired(_metrics.counter("machine/timeoutsFired")),
-          _deadlockBreaks(_metrics.counter("machine/deadlockBreaks"))
-    {
-        if (_config.traceEvents)
-            enableEventTrace();
-        if (_config.telemetrySlices > 0)
-            enableTelemetry();
-    }
+    /**
+     * Creates the event trace (with its machine track) when
+     * config.traceEvents is set and the telemetry recorder when
+     * config.telemetrySlices > 0; cores and queues added later attach
+     * to the trace.
+     */
+    explicit Multicore(MachineConfig config = {});
 
     /**
      * Bind the freelist cores acquire their local memory from (sweep
@@ -165,15 +162,8 @@ class Multicore
     const metrics::Registry &metrics() const { return _metrics; }
 
     /**
-     * Start recording the frame-lifecycle event trace: one track per
-     * core (existing cores are wired retroactively; later addCore()
-     * calls attach automatically) plus a machine track for scheduler
-     * events. Idempotent.
-     */
-    void enableEventTrace();
-
-    /**
-     * The run's event trace; nullptr when tracing is off. Shared so a
+     * The run's event trace (one track per core plus a machine track
+     * for scheduler events); nullptr when tracing is off. Shared so a
      * caller can keep the trace alive past the machine's lifetime.
      */
     std::shared_ptr<trace::EventTrace> eventTrace() const
@@ -182,17 +172,12 @@ class Multicore
     }
 
     /**
-     * Start in-run metric sampling (docs/TELEMETRY.md): the scheduler
+     * The run's telemetry recorder (docs/TELEMETRY.md): the scheduler
      * loop snapshots the registry every config().telemetrySlices
      * rounds into a bounded delta ring, plus one final end-of-run
-     * sample. Idempotent.
-     */
-    void enableTelemetry();
-
-    /**
-     * The run's telemetry recorder; nullptr when sampling is off.
-     * Shared so a caller can keep the series alive past the machine's
-     * lifetime (same contract as eventTrace()).
+     * sample. nullptr when sampling is off. Shared so a caller can
+     * keep the series alive past the machine's lifetime (same contract
+     * as eventTrace()).
      */
     std::shared_ptr<telemetry::TelemetryRecorder>
     telemetryRecorder() const

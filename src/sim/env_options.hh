@@ -57,11 +57,10 @@
  *                                      up front and exits 2 on an
  *                                      unusable path (cg_fuzz never
  *                                      consults the cache)
- * and cg_bench's service-mode trio (docs/SERVICE.md), honored by
+ * and cg_bench's two service-mode knobs (docs/SERVICE.md), honored by
  * `cg_bench serve-run` as defaults its flags override —
  *   CG_SERVICE_FRAMES          int  total frames to stream
  *   CG_SERVICE_SNAPSHOT_FRAMES int  snapshot record cadence (frames)
- *   CG_SERVICE_WINDOW          int  rolling forensics ring capacity
  */
 
 #ifndef COMMGUARD_SIM_ENV_OPTIONS_HH

@@ -23,9 +23,8 @@
  * Everything derives from FuzzCase::caseSeed, so a failure is
  * replayable from a tiny JSON repro bundle: shrinkFuzzCase() greedily
  * simplifies the failing case axis by axis, writeReproBundle() emits
- * the bundle, and `cg_bench replay <bundle>` / `cg_fuzz replay
- * <bundle>` re-run it. `jsonl_check --repro` validates the bundle
- * format.
+ * the bundle, and `cg_fuzz replay <bundle>` re-runs it.
+ * `jsonl_check --repro` validates the bundle format.
  *
  * The breakInvariant field is a test hook: it deliberately corrupts
  * one checked artifact ("counter", "determinism", "schema") so the

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "common/metrics.hh"
 #include "queue/queue_word.hh"
 #include "sim/protection.hh"
 
@@ -70,28 +71,6 @@ eventKindName(ServiceEvent::Kind kind)
                                                    : "remap";
 }
 
-/** What a sampled counter contributes to service observability. */
-enum class CounterKind : std::uint8_t
-{
-    Other,
-    Error,     //!< node/<name>/errorsInjected
-    Repair,    //!< protection::isRepairCounter()
-    Underflow, //!< queue/source/underflowPops
-};
-
-/** "node/F1/errorsInjected" / "cg/F1/headerLoads" → "F1". */
-std::string
-middleComponent(const std::string &name)
-{
-    const std::size_t first = name.find('/');
-    if (first == std::string::npos)
-        return name;
-    const std::size_t second = name.find('/', first + 1);
-    if (second == std::string::npos)
-        return name.substr(first + 1);
-    return name.substr(first + 1, second - first - 1);
-}
-
 } // namespace
 
 ServiceDriver::ServiceDriver(ServiceConfig config)
@@ -116,8 +95,6 @@ ServiceDriver::ServiceDriver(ServiceConfig config)
         fatal("service: maxBacklogFrames must be positive");
     if (_config.snapshotEveryFrames == 0)
         fatal("service: snapshotEveryFrames must be positive");
-    if (_config.forensicsWindow == 0)
-        fatal("service: forensicsWindow must be positive");
     for (const ServiceEvent &event : _config.events) {
         if (event.kind == ServiceEvent::Kind::MtbeDegrade &&
             !(event.factor > 0.0))
@@ -137,9 +114,6 @@ ServiceDriver::run()
 
     streamit::LoadOptions load = _config.load;
     load.streamingSource = true;
-    load.machine.telemetrySlices =
-        _config.telemetrySlices ? _config.telemetrySlices : 1;
-    load.machine.telemetryRingCapacity = _config.telemetryRingCapacity;
 
     streamit::LoadedApp app =
         streamit::loadGraph(application.graph, application.input,
@@ -217,10 +191,6 @@ ServiceDriver::run()
         meta["max_backlog_frames"] = Json(_config.maxBacklogFrames);
         meta["snapshot_every_frames"] =
             Json(_config.snapshotEveryFrames);
-        meta["telemetry_slices"] =
-            Json(load.machine.telemetrySlices);
-        meta["forensics_window"] =
-            Json(Count{_config.forensicsWindow});
         meta["per_core_mtbe"] = std::move(per_core);
         meta["events"] = std::move(events);
         append_record(meta);
@@ -273,124 +243,24 @@ ServiceDriver::run()
     };
 
     // --------------------------------------------------------------
-    // Observability state: snapshot deltas against the recorder's
-    // cumulative view, plus the rolling forensics ring.
+    // Observability: each snapshot diffs the run's metric registry
+    // against the previous snapshot. The typed interval counts use the
+    // batch definitions, so the summary (read off the last snapshot)
+    // counts errors and repairs exactly as a batch run does.
     // --------------------------------------------------------------
-    telemetry::TelemetryRecorder &recorder =
-        *machine.telemetryRecorder();
-    std::vector<Count> previous_totals;
-    std::vector<CounterKind> counter_kinds;
-    std::vector<std::string> counter_nodes;
-    std::deque<ServiceForensicsEntry> forensics;
-    Count last_sample_round = 0;
+    metrics::MetricSnapshot last_snapshot;
     Count slice = 0;
 
-    auto classify_counters = [&]() {
-        const std::vector<std::string> &names = recorder.names();
-        counter_kinds.assign(names.size(), CounterKind::Other);
-        counter_nodes.assign(names.size(), std::string());
-        for (std::size_t i = 0; i < names.size(); ++i) {
-            const std::string &name = names[i];
-            if (metrics::leafName(name) == "errorsInjected" &&
-                name.compare(0, 5, "node/") == 0) {
-                counter_kinds[i] = CounterKind::Error;
-            } else if (protection::isRepairCounter(name)) {
-                counter_kinds[i] = CounterKind::Repair;
-            } else if (name == "queue/source/underflowPops") {
-                counter_kinds[i] = CounterKind::Underflow;
-            }
-            counter_nodes[i] = middleComponent(name);
-        }
-    };
-
-    auto emit_snapshot = [&](Count completed, bool final) {
-        // Freshen the ring: one explicit sample at the current round
-        // unless the scheduler cadence (or finish()) just took one.
-        if (!final && machine.schedulerRound() > last_sample_round) {
-            recorder.sample(machine.metrics(),
-                            machine.schedulerRound(),
-                            machine.totalCycles());
-        }
-        last_sample_round = machine.schedulerRound();
-        if (counter_kinds.size() != recorder.names().size())
-            classify_counters();
-
+    auto emit_snapshot = [&](Count completed) {
+        metrics::MetricSnapshot current = machine.metrics().snapshot();
         drain_collector();
-        const std::vector<Count> totals = recorder.cumulative();
-        if (previous_totals.size() != totals.size())
-            previous_totals.assign(totals.size(), 0);
-
-        // Error→repair join over this interval, per node: the rolling
-        // forensics window entry.
-        std::vector<std::pair<Count, Count>> per_node(
-            static_cast<std::size_t>(num_nodes), {0, 0});
-        auto node_index = [&](const std::string &node) -> int {
-            for (int n = 0; n < num_nodes; ++n) {
-                if (machine.cores()[static_cast<std::size_t>(n)]
-                        ->name() == node)
-                    return n;
-            }
-            return -1;
-        };
 
         Json deltas = Json::object();
-        const std::vector<std::string> &names = recorder.names();
-        for (std::size_t i = 0; i < totals.size(); ++i) {
-            const Count delta = totals[i] - previous_totals[i];
-            if (delta == 0)
-                continue;
-            deltas[names[i]] = Json(delta);
-            const int n = counter_kinds[i] == CounterKind::Other
-                              ? -1
-                              : node_index(counter_nodes[i]);
-            if (n < 0)
-                continue;
-            if (counter_kinds[i] == CounterKind::Error)
-                per_node[static_cast<std::size_t>(n)].first += delta;
-            else if (counter_kinds[i] == CounterKind::Repair)
-                per_node[static_cast<std::size_t>(n)].second += delta;
+        for (const auto &[name, value] : current.counters()) {
+            const Count delta = value - last_snapshot.get(name);
+            if (delta != 0)
+                deltas[name] = Json(delta);
         }
-        previous_totals = totals;
-
-        for (int n = 0; n < num_nodes; ++n) {
-            const auto &[errors, repairs] =
-                per_node[static_cast<std::size_t>(n)];
-            if (errors == 0 && repairs == 0)
-                continue;
-            if (forensics.size() >= _config.forensicsWindow) {
-                forensics.pop_front();
-                ++outcome.forensicsDropped;
-            }
-            forensics.push_back(ServiceForensicsEntry{
-                slice,
-                machine.cores()[static_cast<std::size_t>(n)]->name(),
-                errors, repairs});
-            ++outcome.forensicsRecorded;
-        }
-
-        Json recent = Json::array();
-        const std::size_t shown =
-            std::min(forensics.size(), _config.forensicsPerSnapshot);
-        for (std::size_t i = forensics.size() - shown;
-             i < forensics.size(); ++i) {
-            const ServiceForensicsEntry &entry = forensics[i];
-            Json e = Json::object();
-            e["slice"] = Json(entry.slice);
-            e["node"] = Json(entry.node);
-            e["errors"] = Json(entry.errors);
-            e["repairs"] = Json(entry.repairs);
-            recent.push(std::move(e));
-        }
-        Json window = Json::object();
-        window["entries"] = Json(Count{forensics.size()});
-        window["recorded"] = Json(outcome.forensicsRecorded);
-        window["dropped"] = Json(outcome.forensicsDropped);
-        window["recent"] = std::move(recent);
-
-        Json ring = Json::object();
-        ring["taken"] = Json(recorder.samplesTaken());
-        ring["dropped"] = Json(recorder.droppedSamples());
-        ring["retained"] = Json(Count{recorder.samples().size()});
 
         Json record = Json::object();
         record["type"] = Json("snapshot");
@@ -404,10 +274,14 @@ ServiceDriver::run()
         record["backlog_words"] = Json(Count{source.size()});
         record["output_items"] = Json(outcome.outputItems);
         record["deltas"] = std::move(deltas);
-        record["forensics"] = std::move(window);
-        record["ring"] = std::move(ring);
+        record["errors_injected"] =
+            Json(current.total("errorsInjected") -
+                 last_snapshot.total("errorsInjected"));
+        record["repairs"] = Json(protection::repairTotal(current) -
+                                 protection::repairTotal(last_snapshot));
         append_record(record);
         ++outcome.snapshots;
+        last_snapshot = std::move(current);
     };
 
     // --------------------------------------------------------------
@@ -510,7 +384,7 @@ ServiceDriver::run()
 
         const Count now_completed = min_frames_completed();
         if (now_completed >= next_snapshot_at) {
-            emit_snapshot(now_completed, false);
+            emit_snapshot(now_completed);
             while (next_snapshot_at <= now_completed)
                 next_snapshot_at += _config.snapshotEveryFrames;
         }
@@ -527,30 +401,13 @@ ServiceDriver::run()
     outcome.timeoutsFired = result.timeoutsFired;
     outcome.deadlockBreaks = result.deadlockBreaks;
 
-    // finish() took the final sample; fold the tail interval into one
-    // last snapshot so the stream's running totals reconcile.
-    last_sample_round = machine.schedulerRound();
-    emit_snapshot(outcome.framesCompleted, true);
-
-    const std::vector<Count> totals = recorder.cumulative();
-    const std::vector<std::string> &names = recorder.names();
-    if (counter_kinds.size() != names.size())
-        classify_counters();
-    for (std::size_t i = 0; i < totals.size(); ++i) {
-        switch (counter_kinds[i]) {
-        case CounterKind::Error:
-            outcome.errorsInjected += totals[i];
-            break;
-        case CounterKind::Repair:
-            outcome.repairs += totals[i];
-            break;
-        case CounterKind::Underflow:
-            outcome.sourceUnderflows += totals[i];
-            break;
-        case CounterKind::Other:
-            break;
-        }
-    }
+    // Fold the tail interval into one last snapshot so the stream's
+    // running totals reconcile with the summary.
+    emit_snapshot(outcome.framesCompleted);
+    outcome.errorsInjected = last_snapshot.total("errorsInjected");
+    outcome.repairs = protection::repairTotal(last_snapshot);
+    outcome.sourceUnderflows =
+        last_snapshot.get("queue/source/underflowPops");
 
     Json summary = Json::object();
     summary["type"] = Json("summary");
@@ -578,8 +435,6 @@ ServiceDriver::run()
     summary["source_underflows"] = Json(outcome.sourceUnderflows);
     summary["snapshots"] = Json(outcome.snapshots);
     summary["events_applied"] = Json(outcome.eventsApplied);
-    summary["forensics_recorded"] = Json(outcome.forensicsRecorded);
-    summary["forensics_dropped"] = Json(outcome.forensicsDropped);
     summary["max_backlog_words"] =
         Json(Count{outcome.maxBacklogWords});
     outcome.summary = summary;

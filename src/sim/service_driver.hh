@@ -11,11 +11,11 @@
  * open-loop traffic model through it — seeded bursty frame arrivals in
  * virtual slices, admission-controlled backlog, per-core MTBE
  * heterogeneity, and scheduled mid-run events (core MTBE degradation,
- * live graph remap across physical slots) — while exporting
- * service-shaped observability: periodic live metric snapshots reusing
- * the telemetry recorder's delta-ring, and a rolling forensics window
- * (a bounded ring of recent error→repair joins) instead of a full
- * trace.
+ * live graph remap across physical slots) — while exporting periodic
+ * live snapshots: the nonzero differences of the run's metric registry
+ * since the previous snapshot, plus the interval's injected errors and
+ * repairs counted with the batch definitions
+ * (MetricSnapshot::total("errorsInjected"), protection::repairTotal()).
  *
  * Determinism contract: the driver runs in virtual time only (machine
  * scheduler rounds). The arrival schedule, the event schedule, the
@@ -29,7 +29,6 @@
 #define COMMGUARD_SIM_SERVICE_DRIVER_HH
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <vector>
 
@@ -44,8 +43,14 @@ namespace commguard::sim
  * Version of the service JSONL record schema (`jsonl_check --service`).
  * Bump on any breaking change to the meta/event/snapshot/summary record
  * layout.
+ *
+ * v2: snapshots carry typed errors_injected/repairs interval counts;
+ * the rolling forensics window (snapshot "forensics", summary
+ * "forensics_recorded"/"forensics_dropped") and the telemetry ring
+ * (meta "telemetry_slices"/"forensics_window", snapshot "ring") are
+ * gone.
  */
-constexpr int kServiceSchemaVersion = 1;
+constexpr int kServiceSchemaVersion = 2;
 
 /** One scheduled mid-run event, fired when admitted frames reach a
  *  threshold. */
@@ -111,28 +116,8 @@ struct ServiceConfig
     /** Emit a snapshot record every N fully-drained frames. */
     Count snapshotEveryFrames = 10'000;
 
-    /** Telemetry sampling cadence (scheduler rounds) and ring size. */
-    Count telemetrySlices = 256;
-    std::size_t telemetryRingCapacity = 512;
-
-    /** Rolling forensics ring capacity (error→repair join entries). */
-    std::size_t forensicsWindow = 64;
-
-    /** Most-recent forensics entries exported per snapshot record. */
-    std::size_t forensicsPerSnapshot = 8;
-
     /** Mid-run events, fired in atFrame order. */
     std::vector<ServiceEvent> events;
-};
-
-/** One rolling-forensics entry: a per-node error→repair join over one
- *  snapshot interval. */
-struct ServiceForensicsEntry
-{
-    Count slice = 0;   //!< Virtual slice of the joining snapshot.
-    std::string node;  //!< Graph node (core) name.
-    Count errors = 0;  //!< Errors injected in the interval.
-    Count repairs = 0; //!< Repair actions observed in the interval.
 };
 
 /** End-of-run result. summary/jsonl are the deterministic artifacts. */
@@ -155,8 +140,6 @@ struct ServiceOutcome
     Count sourceUnderflows = 0;
     Count snapshots = 0;
     Count eventsApplied = 0;
-    Count forensicsRecorded = 0;
-    Count forensicsDropped = 0;
 
     /** Peak source backlog in words (bounded-memory witness). */
     std::size_t maxBacklogWords = 0;

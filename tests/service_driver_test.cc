@@ -3,6 +3,8 @@
  * Tests for service mode (docs/SERVICE.md):
  *  - the determinism contract: the same config produces bitwise
  *    identical JSONL and summary bytes on every invocation,
+ *  - the stream reconciles: the snapshots' typed errors_injected/
+ *    repairs counts and their registry deltas sum to the summary,
  *  - observation cadence never perturbs the computation (snapshot
  *    frequency changes the stream, not the output checksum),
  *  - admission control bounds the source backlog,
@@ -19,6 +21,7 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -49,7 +52,6 @@ smallConfig(const apps::App &app)
     config.meanGapSlices = 4;
     config.maxBacklogFrames = 64;
     config.snapshotEveryFrames = 100;
-    config.telemetrySlices = 64;
     return config;
 }
 
@@ -108,6 +110,49 @@ TEST(ServiceDriver, SameConfigProducesBitwiseIdenticalStreams)
     EXPECT_NE(first.jsonl.find("\"kind\":\"remap\""), std::string::npos);
     EXPECT_EQ(first.eventsApplied, 2u);
     EXPECT_GE(first.snapshots, 2u);
+
+    // The stream reconciles on its own: the snapshots' typed interval
+    // counts, and their deltas read by leaf, both sum to the summary's
+    // totals.
+    const auto count_of = [](const Json &record, const char *key) {
+        const Json *value = record.find(key);
+        EXPECT_TRUE(value != nullptr && value->isNumber())
+            << key << " in " << record.dump();
+        return value != nullptr && value->isNumber() ? value->counter()
+                                                     : Count{0};
+    };
+    Count snapshot_errors = 0;
+    Count snapshot_repairs = 0;
+    Count delta_errors = 0;
+    Count delta_repairs = 0;
+    std::istringstream lines(first.jsonl);
+    std::string line;
+    while (std::getline(lines, line)) {
+        Json record;
+        ASSERT_TRUE(Json::parse(line, record)) << line;
+        if (record.find("type")->str() != "snapshot")
+            continue;
+        snapshot_errors += count_of(record, "errors_injected");
+        snapshot_repairs += count_of(record, "repairs");
+        const Json *deltas = record.find("deltas");
+        ASSERT_TRUE(deltas != nullptr && deltas->isObject()) << line;
+        for (const auto &[name, delta] : deltas->obj()) {
+            if (metrics::leafName(name) == "errorsInjected")
+                delta_errors += delta.counter();
+            else if (protection::isRepairCounter(name))
+                delta_repairs += delta.counter();
+        }
+    }
+    const Count summary_errors = count_of(first.summary, "errors_injected");
+    const Count summary_repairs = count_of(first.summary, "repairs");
+    EXPECT_GT(summary_errors, 0u);
+    EXPECT_GT(summary_repairs, 0u);
+    EXPECT_EQ(summary_errors, first.errorsInjected);
+    EXPECT_EQ(summary_repairs, first.repairs);
+    EXPECT_EQ(snapshot_errors, summary_errors);
+    EXPECT_EQ(snapshot_repairs, summary_repairs);
+    EXPECT_EQ(delta_errors, summary_errors);
+    EXPECT_EQ(delta_repairs, summary_repairs);
 }
 
 TEST(ServiceDriver, SnapshotCadenceDoesNotPerturbTheComputation)

@@ -9,8 +9,6 @@
  *   cg_bench run <name> [<name>…]   run scenarios by name
  *   cg_bench run --mode=<mode> …    restrict mode-sweeping scenarios
  *                                   to one registered protection mode
- *   cg_bench replay <bundle.json>   re-run a fuzz repro bundle
- *                                   (docs/FUZZING.md)
  *   cg_bench serve-run …            service mode (docs/SERVICE.md):
  *                                   one long-lived machine under an
  *                                   open-loop streaming traffic model
@@ -25,10 +23,12 @@
  * CG_JSONL (per-run records), CG_TRACE_EVENTS (Perfetto traces),
  * CG_CACHE_DIR (result cache directory, docs/RESULT_CACHE.md).
  *
- * Exit codes: 0 success, 1 runtime failure (fatal() inside a
- * scenario) or a replayed bundle reproducing its failure, 2 usage
- * error (unknown subcommand, scenario or tag, unreadable bundle,
- * unusable CG_CACHE_DIR).
+ * Fuzz repro bundles replay with `cg_fuzz replay` (docs/FUZZING.md).
+ *
+ * Exit codes: 0 success, 1 runtime failure (fatal() inside a scenario,
+ * or a serve-run that did not complete), 2 usage error (unknown
+ * subcommand, scenario or tag, a serve-run flag out of range, unusable
+ * CG_CACHE_DIR).
  */
 
 #include <unistd.h>
@@ -39,13 +39,13 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "apps/app.hh"
 #include "sim/env_options.hh"
-#include "sim/fuzz.hh"
 #include "sim/protection.hh"
 #include "sim/scenario.hh"
 #include "sim/service_driver.hh"
@@ -86,20 +86,17 @@ usage(std::ostream &out, int code)
            "    --burst=<n> --gap=<n>  mean burst frames / gap slices\n"
            "    --backlog=<n>          max in-flight frames\n"
            "    --snapshot-frames=<n>  snapshot cadence in frames\n"
-           "    --window=<n>           rolling forensics window size\n"
            "    --degrade=<f>:<c>:<x>  at frame f, divide core c's "
            "MTBE by x\n"
            "    --remap=<f>:<r>        at frame f, rotate placement "
            "by r slots\n"
            "    --out=<path>           write the full JSONL stream "
            "here\n"
-           "  replay <bundle.json>     re-run a fuzz repro bundle\n"
            "\n"
            "environment: CG_QUICK CG_JOBS CG_CSV CG_JSON CG_JSONL "
            "CG_MODE CG_TRACE_EVENTS CG_TELEMETRY_SLICES "
            "CG_TELEMETRY_OUT CG_BOARD CG_CACHE_DIR "
-           "CG_SERVICE_FRAMES CG_SERVICE_SNAPSHOT_FRAMES "
-           "CG_SERVICE_WINDOW\n";
+           "CG_SERVICE_FRAMES CG_SERVICE_SNAPSHOT_FRAMES\n";
     return code;
 }
 
@@ -271,6 +268,16 @@ parseCount(const std::string &text, Count *out)
     return true;
 }
 
+/** parseCount() that also rejects values above @p max (flags narrowed
+ *  to int). */
+bool
+parseCountUpTo(const std::string &text, Count max, Count *out)
+{
+    return parseCount(text, out) && *out <= max;
+}
+
+constexpr Count kIntMax = std::numeric_limits<int>::max();
+
 /** Strict positive double parse (--mtbe, --per-core-mtbe entries). */
 bool
 parsePositiveDouble(const std::string &text, double *out)
@@ -318,11 +325,6 @@ cmdServeRun(const std::vector<std::string> &args)
                              &config.snapshotEveryFrames);
         code != 0)
         return code;
-    Count window = 0;
-    if (int code = env_count("CG_SERVICE_WINDOW", &window); code != 0)
-        return code;
-    if (window > 0)
-        config.forensicsWindow = static_cast<std::size_t>(window);
 
     for (const std::string &arg : args) {
         const auto value_of = [&arg](const char *prefix) {
@@ -343,8 +345,12 @@ cmdServeRun(const std::vector<std::string> &args)
                 frames == 0)
                 return bad("invalid --frames value");
         } else if (arg.rfind("--seed=", 0) == 0) {
-            if (!parseCount(value_of("--seed="), &seed_index))
-                return bad("invalid --seed value");
+            // sweepOptions() derives the error seed from seed_index + 1
+            // in int arithmetic.
+            if (!parseCountUpTo(value_of("--seed="), kIntMax - 1,
+                                &seed_index))
+                return bad("invalid --seed value (expected 0.." +
+                           std::to_string(kIntMax - 1) + ")");
         } else if (arg.rfind("--arrival-seed=", 0) == 0) {
             Count arrival = 0;
             if (!parseCount(value_of("--arrival-seed="), &arrival))
@@ -386,11 +392,6 @@ cmdServeRun(const std::vector<std::string> &args)
                             &config.snapshotEveryFrames) ||
                 config.snapshotEveryFrames == 0)
                 return bad("invalid --snapshot-frames value");
-        } else if (arg.rfind("--window=", 0) == 0) {
-            if (!parseCount(value_of("--window="), &window) ||
-                window == 0)
-                return bad("invalid --window value");
-            config.forensicsWindow = static_cast<std::size_t>(window);
         } else if (arg.rfind("--degrade=", 0) == 0) {
             // --degrade=<frame>:<core>:<factor>
             const std::string spec = value_of("--degrade=");
@@ -403,12 +404,14 @@ cmdServeRun(const std::vector<std::string> &args)
             Count core = 0;
             if (second == std::string::npos ||
                 !parseCount(spec.substr(0, first), &event.atFrame) ||
-                !parseCount(spec.substr(first + 1, second - first - 1),
-                            &core) ||
+                !parseCountUpTo(
+                    spec.substr(first + 1, second - first - 1), kIntMax,
+                    &core) ||
                 !parsePositiveDouble(spec.substr(second + 1),
                                      &event.factor))
                 return bad("invalid --degrade spec '" + spec +
-                           "' (expected <frame>:<core>:<factor>)");
+                           "' (expected <frame>:<core>:<factor>, core "
+                           "at most " + std::to_string(kIntMax) + ")");
             event.core = static_cast<int>(core);
             config.events.push_back(event);
         } else if (arg.rfind("--remap=", 0) == 0) {
@@ -420,10 +423,12 @@ cmdServeRun(const std::vector<std::string> &args)
             Count rotation = 0;
             if (colon == std::string::npos ||
                 !parseCount(spec.substr(0, colon), &event.atFrame) ||
-                !parseCount(spec.substr(colon + 1), &rotation) ||
+                !parseCountUpTo(spec.substr(colon + 1), kIntMax,
+                                &rotation) ||
                 rotation == 0)
                 return bad("invalid --remap spec '" + spec +
-                           "' (expected <frame>:<rotation>)");
+                           "' (expected <frame>:<rotation>, rotation "
+                           "1.." + std::to_string(kIntMax) + ")");
             event.rotation = static_cast<int>(rotation);
             config.events.push_back(event);
         } else if (arg.rfind("--out=", 0) == 0) {
@@ -467,52 +472,6 @@ cmdServeRun(const std::vector<std::string> &args)
     return outcome.completed ? 0 : 1;
 }
 
-int
-cmdReplay(const std::vector<std::string> &args)
-{
-    if (args.size() != 1) {
-        std::cerr << "cg_bench replay: expected exactly one bundle "
-                     "path\n";
-        return usage(std::cerr, 2);
-    }
-
-    std::ifstream in(args[0]);
-    if (!in.good()) {
-        std::cerr << "cg_bench replay: cannot open '" << args[0]
-                  << "'\n";
-        return 2;
-    }
-    std::ostringstream buffer;
-    buffer << in.rdbuf();
-
-    Json bundle;
-    std::string error;
-    if (!Json::parse(buffer.str(), bundle, &error)) {
-        std::cerr << "cg_bench replay: '" << args[0]
-                  << "': parse error: " << error << "\n";
-        return 2;
-    }
-    sim::FuzzCase fuzz_case;
-    if (!sim::reproBundleFromJson(bundle, fuzz_case, &error)) {
-        std::cerr << "cg_bench replay: '" << args[0]
-                  << "': invalid bundle: " << error << "\n";
-        return 2;
-    }
-
-    const sim::FuzzVerdict verdict = sim::checkFuzzCase(fuzz_case);
-    if (!verdict.ok()) {
-        std::cerr << "cg_bench replay: reproduced "
-                  << verdict.failures.size()
-                  << " invariant failure(s):\n";
-        for (const std::string &failure : verdict.failures)
-            std::cerr << "  " << failure << "\n";
-        return 1;
-    }
-    std::cout << "cg_bench replay: bundle case is clean ("
-              << verdict.runs << " sweep runs)\n";
-    return 0;
-}
-
 /**
  * CG_CACHE_DIR must be usable before any sweep consults it: create it
  * if missing and prove writability with a probe file. A bad directory
@@ -550,7 +509,6 @@ main(int argc, char **argv)
     sim::allowEnvKey("CG_CACHE_DIR");
     sim::allowEnvKey("CG_SERVICE_FRAMES");
     sim::allowEnvKey("CG_SERVICE_SNAPSHOT_FRAMES");
-    sim::allowEnvKey("CG_SERVICE_WINDOW");
 
     // Validate the CG_* environment up front so a typo'd knob is
     // fatal on every subcommand, not just the ones that read it.
@@ -571,8 +529,6 @@ main(int argc, char **argv)
         return cmdRun(rest);
     if (args[0] == "serve-run")
         return cmdServeRun(rest);
-    if (args[0] == "replay")
-        return cmdReplay(rest);
 
     std::cerr << "cg_bench: unknown command '" << args[0] << "'\n";
     return usage(std::cerr, 2);

@@ -235,10 +235,8 @@ cmdRun(const std::vector<std::string> &args)
                                   minimal_verdict.failures);
             std::fprintf(stderr,
                          "cg_fuzz: wrote repro bundle '%s' "
-                         "(replay with 'cg_fuzz replay %s' or "
-                         "'cg_bench replay %s')\n",
-                         bundle_path.c_str(), bundle_path.c_str(),
-                         bundle_path.c_str());
+                         "(replay with 'cg_fuzz replay %s')\n",
+                         bundle_path.c_str(), bundle_path.c_str());
             return 1;
         }
     }

@@ -67,10 +67,15 @@
  *                                          consecutive indices,
  *                                          monotone slices and frame
  *                                          counters bounded by
- *                                          total_frames, and exactly
- *                                          one summary record, last,
- *                                          whose counts reconcile with
- *                                          the stream
+ *                                          total_frames, typed
+ *                                          errors_injected/repairs
+ *                                          equal to their deltas'
+ *                                          errorsInjected/repair
+ *                                          leaves, and exactly one
+ *                                          summary record, last, whose
+ *                                          counts (snapshots, events,
+ *                                          errors_injected, repairs)
+ *                                          reconcile with the stream
  *
  * Exit status 0 iff everything validates. Used by the `schema_check`
  * build target and scripts/check.sh.
@@ -723,6 +728,8 @@ struct ServiceStreamState
     Count lastSlice = 0;
     Count lastAdmitted = 0;
     Count eventsSeen = 0;
+    Count errorsInjected = 0;     //!< Sum of snapshot errors_injected.
+    Count repairs = 0;            //!< Sum of snapshot repairs.
 };
 
 bool
@@ -793,18 +800,36 @@ checkServiceLine(const std::string &line, std::size_t number,
         const Json *slice = nullptr;
         const Json *admitted = nullptr;
         const Json *completed = nullptr;
+        const Json *errors = nullptr;
+        const Json *repairs = nullptr;
         if (!require_number("index", &index) ||
             !require_number("slice", &slice) ||
             !require_number("frames_admitted", &admitted) ||
-            !require_number("frames_completed", &completed))
+            !require_number("frames_completed", &completed) ||
+            !require_number("errors_injected", &errors) ||
+            !require_number("repairs", &repairs))
             return fail("snapshot lacks numeric index/slice/"
-                        "frames_admitted/frames_completed");
-        for (const char *key : {"deltas", "forensics", "ring"}) {
-            const Json *section = record.find(key);
-            if (section == nullptr || !section->isObject())
-                return fail(std::string("snapshot lacks object '") +
-                            key + "'");
+                        "frames_admitted/frames_completed/"
+                        "errors_injected/repairs");
+        const Json *deltas = record.find("deltas");
+        if (deltas == nullptr || !deltas->isObject())
+            return fail("snapshot lacks object 'deltas'");
+        Count delta_errors = 0;
+        Count delta_repairs = 0;
+        for (const auto &[name, value] : deltas->obj()) {
+            if (!value.isNumber())
+                return fail("delta '" + name + "' is not a number");
+            if (metrics::leafName(name) == "errorsInjected")
+                delta_errors += value.counter();
+            else if (protection::isRepairCounter(name))
+                delta_repairs += value.counter();
         }
+        if (errors->counter() != delta_errors ||
+            repairs->counter() != delta_repairs)
+            return fail("snapshot errors_injected/repairs " +
+                        errors->dump() + "/" + repairs->dump() +
+                        " != deltas' " + std::to_string(delta_errors) +
+                        "/" + std::to_string(delta_repairs));
         if (index->counter() != state.nextSnapshot)
             return fail("snapshot index " + index->dump() +
                         " is not consecutive (expected " +
@@ -826,6 +851,8 @@ checkServiceLine(const std::string &line, std::size_t number,
         ++state.nextSnapshot;
         state.lastSlice = slice->counter();
         state.lastAdmitted = admitted->counter();
+        state.errorsInjected += errors->counter();
+        state.repairs += repairs->counter();
         return true;
     }
 
@@ -836,11 +863,15 @@ checkServiceLine(const std::string &line, std::size_t number,
         const Json *frames = nullptr;
         const Json *snapshots = nullptr;
         const Json *events = nullptr;
+        const Json *errors = nullptr;
+        const Json *repairs = nullptr;
         if (!require_number("frames_completed", &frames) ||
             !require_number("snapshots", &snapshots) ||
-            !require_number("events_applied", &events))
+            !require_number("events_applied", &events) ||
+            !require_number("errors_injected", &errors) ||
+            !require_number("repairs", &repairs))
             return fail("summary lacks frames_completed/snapshots/"
-                        "events_applied");
+                        "events_applied/errors_injected/repairs");
         if (completed_flag->boolean() &&
             frames->counter() != state.totalFrames)
             return fail("summary claims completed but "
@@ -855,6 +886,13 @@ checkServiceLine(const std::string &line, std::size_t number,
             return fail("summary events_applied " + events->dump() +
                         " != " + std::to_string(state.eventsSeen) +
                         " event records in the stream");
+        if (errors->counter() != state.errorsInjected ||
+            repairs->counter() != state.repairs)
+            return fail("summary errors_injected/repairs " +
+                        errors->dump() + "/" + repairs->dump() +
+                        " != snapshot sums " +
+                        std::to_string(state.errorsInjected) + "/" +
+                        std::to_string(state.repairs));
         state.sawSummary = true;
         return true;
     }
