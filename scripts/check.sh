@@ -15,10 +15,11 @@
 # the result-cache gate: cold, warm and rebuilt-binary reruns
 # byte-identical to an uncached run (docs/RESULT_CACHE.md), and the
 # service gate: serve-run byte-stable across invocations and job
-# counts with a schema-valid stream (docs/SERVICE.md), and the
-# benchmark gate: perfbench's regenerated run digests match
-# perfbench/ref and every workload's traced self-check reports correct
-# (perfbench/README.md).
+# counts with a schema-valid stream (docs/SERVICE.md), the schema-check
+# negative gate: every jsonl_check mode rejects an artifact whose
+# version is a string with exit 1, and the benchmark gate: perfbench's
+# regenerated run digests match perfbench/ref and every workload's
+# traced self-check reports correct (perfbench/README.md).
 #
 # Usage: scripts/check.sh [--sanitize] [build-dir]   (default: build)
 #
@@ -302,6 +303,46 @@ if [ "$SEED_EXIT" -ne 2 ]; then
 fi
 echo "check.sh: service gate ok (serve-run byte-stable, stream valid," \
      "unreconciled repairs rejected, out-of-range seed rejected)"
+
+# Schema-check negative gate: every jsonl_check mode must reject, with
+# exit status 1 (not a crash), a copy of an artifact validated above
+# whose version member (on the first line) is turned into a string.
+BAD_VERSION="$BUILD_DIR/bad_version.json"
+expect_version_rejected() {
+    # $1 mode ("" for the default), $2 artifact, $3 dotted version key.
+    python3 -c 'import json, sys
+lines = open(sys.argv[1]).read().splitlines()
+record = json.loads(lines[0])
+*path, key = sys.argv[2].split(".")
+node = record
+for step in path:
+    node = node[step]
+node[key] = str(node[key])
+lines[0] = json.dumps(record, separators=(",", ":"), sort_keys=True)
+print("\n".join(lines))' "$2" "$3" > "$BAD_VERSION"
+    set +e
+    "$JSONL_CHECK" $1 "$BAD_VERSION" > /dev/null 2>&1
+    local status=$?
+    set -e
+    if [ "$status" -ne 1 ]; then
+        echo "check.sh: jsonl_check ${1:-(default mode)} exited $status" \
+             "on $2 with a string $3, expected 1" >&2
+        exit 1
+    fi
+}
+expect_version_rejected "" "$PARETO_JSONL" schema_version
+expect_version_rejected --forensics "$TRACE_JSONL" schema_version
+expect_version_rejected --trace "$(ls -S "$TRACE_DIR"/*.json | tail -n 1)" \
+    commguard.schema_version
+expect_version_rejected --scenarios "$BUILD_DIR/scenario_list.json" \
+    schema_version
+expect_version_rejected --repro "$BUNDLE" schema_version
+expect_version_rejected --bench "$PARETO_BENCH" schema_version
+expect_version_rejected --telemetry "$TELEM_A" telemetry_schema_version
+expect_version_rejected --service "$SERVICE_A" service_schema_version
+rm -f "$BAD_VERSION"
+echo "check.sh: schema-check negative gate ok (a string version is" \
+     "rejected with exit 1 in every jsonl_check mode)"
 
 # Benchmark gate (perfbench/README.md): build the repository benchmark
 # in Release, regenerate the digest of every selectable run of each

@@ -61,6 +61,12 @@ class Json
         return holds<double>() || holds<Count>() ||
                holds<std::int64_t>();
     }
+    /** An integer >= 0, so counter() reads it exactly. */
+    bool isCount() const
+    {
+        return holds<Count>() ||
+               (holds<std::int64_t>() && std::get<std::int64_t>(_value) >= 0);
+    }
     bool isString() const { return holds<std::string>(); }
     bool isObject() const { return holds<Object>(); }
     bool isArray() const { return holds<Array>(); }

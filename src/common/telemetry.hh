@@ -17,7 +17,7 @@
  *
  * holds for the whole run regardless of how many samples were dropped.
  * That conservation property is what lets the export layer, the
- * jsonl_check --telemetry validator and the tests reconcile the final
+ * sim::checkTelemetryStream() validator and the tests reconcile the final
  * sample 1:1 against the run's MetricSnapshot.
  *
  * Determinism: sampling is keyed on the deterministic scheduler round

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <utility>
 
 #include "apps/random_graph_app.hh"
@@ -16,64 +17,6 @@
 
 namespace commguard::sim
 {
-
-namespace
-{
-
-/** The jsonl_check line validation, reusable on an in-memory record. */
-void
-appendSchemaErrors(const Json &record, std::size_t run_index,
-                   std::vector<std::string> &failures)
-{
-    const auto fail = [&](const std::string &why) {
-        failures.push_back("schema: run " + std::to_string(run_index) +
-                           ": " + why);
-    };
-
-    // Round-trip through text: the record must survive its own
-    // serialization, exactly like a CG_JSONL consumer would see it.
-    Json reparsed;
-    std::string parse_error;
-    if (!Json::parse(record.dump(), reparsed, &parse_error)) {
-        fail("record does not reparse: " + parse_error);
-        return;
-    }
-
-    for (const char *key :
-         {"app", "protection_mode", "inject_errors", "mtbe", "seed",
-          "frame_scale"}) {
-        if (reparsed.find(key) == nullptr) {
-            fail(std::string("missing descriptor field '") + key + "'");
-            return;
-        }
-    }
-    const Json *version = reparsed.find("schema_version");
-    if (version == nullptr ||
-        version->counter() != static_cast<Count>(metrics::kSchemaVersion)) {
-        fail("bad or missing schema_version");
-        return;
-    }
-
-    metrics::MetricSnapshot snapshot;
-    try {
-        snapshot = metrics::snapshotFromJson(reparsed);
-    } catch (const std::exception &e) {
-        fail(std::string("snapshot rejected: ") + e.what());
-        return;
-    }
-    const Json reencoded = metrics::snapshotToJson(snapshot);
-    const Json *counters = reparsed.find("counters");
-    const Json *gauges = reparsed.find("gauges");
-    if (counters == nullptr || gauges == nullptr) {
-        fail("missing counters/gauges");
-        return;
-    }
-    if (reencoded.find("counters")->dump() != counters->dump() ||
-        reencoded.find("gauges")->dump() != gauges->dump())
-        fail("snapshot does not round-trip canonically");
-}
-
-} // namespace
 
 FuzzCase
 randomFuzzCase(std::uint64_t case_seed)
@@ -141,76 +84,62 @@ fuzzCaseJson(const FuzzCase &fuzz_case)
 bool
 fuzzCaseFromJson(const Json &json, FuzzCase &out, std::string *error)
 {
-    const auto fail = [error](const std::string &why) {
+    if (!json.isObject()) {
         if (error != nullptr)
-            *error = why;
+            *error = "fuzz case is not an object";
         return false;
-    };
-    if (!json.isObject())
-        return fail("fuzz case is not an object");
+    }
 
-    const auto number = [&](const char *key, Count &value) {
-        const Json *field = json.find(key);
-        if (field == nullptr || !field->isNumber())
-            return false;
-        value = field->counter();
-        return true;
+    // Axes stored as int or unsigned must fit an int: a wider value
+    // would replay as a different, truncated case.
+    constexpr Count kIntMax = std::numeric_limits<int>::max();
+    SchemaErrors errors;
+    const auto count = [&](const char *key, Count min,
+                           Count max = std::numeric_limits<Count>::max()) {
+        const Json *value =
+            typedMember(json, {key, JsonKind::Count}, errors);
+        if (value == nullptr)
+            return min;
+        if (value->counter() < min || value->counter() > max)
+            errors.push_back(std::string("'") + key + "' is outside [" +
+                             std::to_string(min) + ", " +
+                             std::to_string(max) + "]");
+        return value->counter();
+    };
+    const auto member = [&](const char *key, JsonKind kind) {
+        return typedMember(json, {key, kind}, errors);
     };
 
     FuzzCase parsed;
-    Count raw = 0;
-    if (!number("case_seed", raw))
-        return fail("missing numeric 'case_seed'");
-    parsed.caseSeed = raw;
-    if (!number("graph_seed", raw))
-        return fail("missing numeric 'graph_seed'");
-    parsed.graphSeed = raw;
-    if (!number("stages", raw) || raw < 1)
-        return fail("'stages' must be a positive number");
-    parsed.stages = static_cast<int>(raw);
-    if (!number("max_granularity", raw) || raw < 1)
-        return fail("'max_granularity' must be a positive number");
-    parsed.maxGranularity = static_cast<int>(raw);
-    if (!number("frame_scale", raw) || raw < 1)
-        return fail("'frame_scale' must be a positive number");
-    parsed.frameScale = raw;
-    if (!number("queue_capacity_words", raw) || raw < 1)
-        return fail("'queue_capacity_words' must be a positive number");
-    parsed.queueCapacityWords = raw;
-    if (!number("iterations", raw) || raw < 1)
-        return fail("'iterations' must be a positive number");
-    parsed.iterations = raw;
-    if (!number("jobs", raw) || raw < 1)
-        return fail("'jobs' must be a positive number");
-    parsed.jobs = static_cast<unsigned>(raw);
-    if (!number("sweep_seeds", raw) || raw < 1)
-        return fail("'sweep_seeds' must be a positive number");
-    parsed.sweepSeeds = static_cast<int>(raw);
-
-    const Json *mtbe = json.find("mtbe");
-    if (mtbe == nullptr || !mtbe->isNumber() || !(mtbe->number() > 0.0))
-        return fail("'mtbe' must be a positive number");
+    parsed.caseSeed = count("case_seed", 0);
+    parsed.graphSeed = count("graph_seed", 0);
+    parsed.stages = static_cast<int>(count("stages", 1, kIntMax));
+    parsed.maxGranularity =
+        static_cast<int>(count("max_granularity", 1, kIntMax));
+    parsed.frameScale = count("frame_scale", 1);
+    parsed.queueCapacityWords = count("queue_capacity_words", 1);
+    parsed.iterations = count("iterations", 1);
+    parsed.jobs = static_cast<unsigned>(count("jobs", 1, kIntMax));
+    parsed.sweepSeeds = static_cast<int>(count("sweep_seeds", 1, kIntMax));
+    const Json *mtbe = member("mtbe", JsonKind::Number);
+    const Json *split = member("allow_split_join", JsonKind::Bool);
+    const Json *inject = member("inject_errors", JsonKind::Bool);
+    const Json *mode = member("mode", JsonKind::String);
+    const Json *hook = member("break_invariant", JsonKind::String);
+    if (mtbe != nullptr && !(mtbe->number() > 0.0))
+        errors.push_back("'mtbe' must be a positive number");
+    if (mode != nullptr &&
+        !protection::tryParseProtectionMode(mode->str(), &parsed.mode))
+        errors.push_back("'mode' is not a known protection mode name");
+    if (!errors.empty()) {
+        if (error != nullptr)
+            *error = errors.front();
+        return false;
+    }
     parsed.mtbe = mtbe->number();
-
-    const Json *split = json.find("allow_split_join");
-    const Json *inject = json.find("inject_errors");
-    if (split == nullptr || !split->isBool() || inject == nullptr ||
-        !inject->isBool())
-        return fail("missing boolean 'allow_split_join'/"
-                    "'inject_errors'");
     parsed.allowSplitJoin = split->boolean();
     parsed.injectErrors = inject->boolean();
-
-    const Json *mode = json.find("mode");
-    if (mode == nullptr || !mode->isString() ||
-        !protection::tryParseProtectionMode(mode->str(), &parsed.mode))
-        return fail("'mode' is not a known protection mode name");
-
-    const Json *hook = json.find("break_invariant");
-    if (hook == nullptr || !hook->isString())
-        return fail("missing string 'break_invariant'");
     parsed.breakInvariant = hook->str();
-
     out = parsed;
     return true;
 }
@@ -246,7 +175,9 @@ checkFuzzCase(const FuzzCase &fuzz_case)
         // (jobs=1 vs jobs=N); a cache would serve the second batch
         // from the first and the comparison would test nothing.
         SweepRunner runner(jobs, SweepRunner::Caching::Off);
-        runner.setProgress([](std::size_t, std::size_t) {});
+        runner.setOutcomeObserver([](std::size_t, std::size_t,
+                                     const RunDescriptor &,
+                                     const RunOutcome &) {});
         for (const RunDescriptor &descriptor : descriptors)
             runner.enqueue(descriptor);
         return runner.runAll();
@@ -328,12 +259,18 @@ checkFuzzCase(const FuzzCase &fuzz_case)
             }
         }
 
-        // Schema: the JSONL record validates and round-trips.
+        // Schema: the JSONL record, read back from its text the way a
+        // CG_JSONL consumer sees it, passes the run-record check.
         Json checked = base_record;
         if (fuzz_case.breakInvariant == "schema")
             checked["schema_version"] =
                 Json(metrics::kSchemaVersion + 1000);
-        appendSchemaErrors(checked, i, verdict.failures);
+        SchemaErrors schema_errors;
+        if (const std::optional<Json> reparsed =
+                parseObject(checked.dump(), schema_errors))
+            schema_errors = runRecordErrors(*reparsed);
+        for (const std::string &message : schema_errors)
+            verdict.failures.push_back("schema: " + run + ": " + message);
     }
     return verdict;
 }
@@ -441,6 +378,11 @@ reproBundleJson(const FuzzCase &fuzz_case,
 bool
 reproBundleFromJson(const Json &json, FuzzCase &out, std::string *error)
 {
+    static constexpr SchemaMember kMembers[] = {
+        {"kind", JsonKind::String},
+        {"failures", JsonKind::Array},
+        {"case", JsonKind::Object},
+    };
     const auto fail = [error](const std::string &why) {
         if (error != nullptr)
             *error = why;
@@ -448,25 +390,37 @@ reproBundleFromJson(const Json &json, FuzzCase &out, std::string *error)
     };
     if (!json.isObject())
         return fail("bundle is not an object");
-    const Json *version = json.find("schema_version");
-    if (version == nullptr || !version->isNumber() ||
-        version->counter() != static_cast<Count>(metrics::kSchemaVersion))
-        return fail("bad or missing schema_version");
-    const Json *kind = json.find("kind");
-    if (kind == nullptr || !kind->isString() ||
-        kind->str() != "fuzz_repro")
+    SchemaErrors errors;
+    checkVersion(json, "schema_version", metrics::kSchemaVersion, errors);
+    const auto members = requireMembers(json, kMembers, errors);
+    if (!errors.empty())
+        return fail(errors.front());
+    const auto &[kind, failures, embedded] = *members;
+    if (kind->str() != "fuzz_repro")
         return fail("bundle kind is not 'fuzz_repro'");
-    const Json *failures = json.find("failures");
-    if (failures == nullptr || !failures->isArray())
-        return fail("missing failures array");
     for (const Json &failure : failures->arr()) {
         if (!failure.isString())
             return fail("failures entries must be strings");
     }
-    const Json *embedded = json.find("case");
-    if (embedded == nullptr)
-        return fail("missing case object");
     return fuzzCaseFromJson(*embedded, out, error);
+}
+
+SchemaErrors
+checkReproBundle(const std::string &text)
+{
+    SchemaErrors errors;
+    const std::optional<Json> bundle = parseObject(text, errors);
+    if (!bundle)
+        return errors;
+    FuzzCase fuzz_case;
+    std::string error;
+    if (!reproBundleFromJson(*bundle, fuzz_case, &error))
+        return {"invalid bundle: " + error};
+    FuzzCase reparsed;
+    if (!fuzzCaseFromJson(fuzzCaseJson(fuzz_case), reparsed, &error) ||
+        !(reparsed == fuzz_case))
+        return {"case does not round-trip canonically"};
+    return {};
 }
 
 void

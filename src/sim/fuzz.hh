@@ -17,14 +17,14 @@
  *    RunOutcomes AND byte-identical JSONL records;
  *  - conservation: traceConservationErrors() finds no event/counter
  *    mismatch on any run;
- *  - schema: every JSONL record round-trips through
- *    metrics::snapshotFromJson() canonically.
+ *  - schema: every JSONL record, read back from its text, passes
+ *    runRecordErrors() (sim/run_export.hh).
  *
  * Everything derives from FuzzCase::caseSeed, so a failure is
  * replayable from a tiny JSON repro bundle: shrinkFuzzCase() greedily
  * simplifies the failing case axis by axis, writeReproBundle() emits
  * the bundle, and `cg_fuzz replay <bundle>` re-runs it.
- * `jsonl_check --repro` validates the bundle format.
+ * checkReproBundle() validates the bundle format.
  *
  * The breakInvariant field is a test hook: it deliberately corrupts
  * one checked artifact ("counter", "determinism", "schema") so the
@@ -43,6 +43,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "sim/schema_check.hh"
 #include "streamit/loader.hh"
 
 namespace commguard::sim
@@ -77,7 +78,8 @@ Json fuzzCaseJson(const FuzzCase &fuzz_case);
 
 /**
  * Parse fuzzCaseJson() output. Returns false (setting @p error when
- * given) on missing fields, unknown mode names, or non-positive axes.
+ * given) on missing or wrongly typed fields (seeds and axes are
+ * counts), unknown mode names, or non-positive axes.
  */
 bool fuzzCaseFromJson(const Json &json, FuzzCase &out,
                       std::string *error = nullptr);
@@ -115,6 +117,13 @@ Json reproBundleJson(const FuzzCase &fuzz_case,
 /** Parse a repro bundle; extracts the embedded case. */
 bool reproBundleFromJson(const Json &json, FuzzCase &out,
                          std::string *error = nullptr);
+
+/**
+ * Check a repro bundle's text: reproBundleFromJson() accepts it, and
+ * its case survives its own canonical round-trip, so replay tools see
+ * exactly what the fuzzer saw.
+ */
+SchemaErrors checkReproBundle(const std::string &text);
 
 /** Write reproBundleJson() to @p path (fatal on I/O failure). */
 void writeReproBundle(const std::string &path,

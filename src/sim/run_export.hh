@@ -17,7 +17,8 @@
  *
  * JSON is canonical (sorted keys, exact 64-bit counters, non-finite
  * doubles as tagged strings), so equal inputs produce byte-identical
- * files.
+ * files. Both kinds have their schema check here
+ * (sim/schema_check.hh).
  */
 
 #ifndef COMMGUARD_SIM_RUN_EXPORT_HH
@@ -27,6 +28,7 @@
 #include <vector>
 
 #include "common/json.hh"
+#include "sim/schema_check.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/table.hh"
 
@@ -34,15 +36,40 @@ namespace commguard::sim
 {
 
 /**
+ * Write the descriptor members of run and telemetry records into
+ * @p record: "app", "protection_mode", "inject_errors", "mtbe", "seed"
+ * and "frame_scale".
+ */
+void putDescriptorMembers(Json &record, const RunDescriptor &descriptor);
+
+/**
+ * Check the descriptor members of @p record: all present, and
+ * protection_mode a registered mode name (the only one ever read).
+ */
+SchemaErrors descriptorErrors(const Json &record);
+
+/**
  * The JSONL record of one run: snapshotToJson() of the outcome's
- * snapshot plus the identifying descriptor fields ("app",
- * "protection_mode", "inject_errors", "mtbe", "seed", "frame_scale").
- * snapshotFromJson()
+ * snapshot plus the descriptor members. snapshotFromJson()
  * accepts the result unchanged (extra keys are ignored), so a parsed
  * line round-trips to the exact in-memory snapshot.
  */
 Json runRecordJson(const RunDescriptor &descriptor,
                    const RunOutcome &outcome);
+
+/**
+ * Check one run record: the current schema_version, the descriptor
+ * members, and counters and gauges that snapshotFromJson() accepts
+ * and that re-serialize to the same canonical text. A forensics
+ * section is left to forensicsErrors() (sim/trace_export.hh).
+ */
+SchemaErrors runRecordErrors(const Json &record);
+
+/** Check CG_JSONL text: runRecordErrors() and forensicsErrors(). */
+SchemaErrors checkRunRecords(const std::string &text);
+
+/** checkRunRecords(), requiring forensics (a traced sweep's records). */
+SchemaErrors checkForensicRunRecords(const std::string &text);
 
 /** Append @p records to @p path, one canonical-JSON line each. */
 void appendJsonl(const std::string &path,
@@ -70,6 +97,13 @@ Json benchDocument(const std::string &name, const Json &data);
 
 /** Write benchDocument() as BENCH_<name>.json in the working dir. */
 void writeBenchJson(const std::string &name, const Json &data);
+
+/**
+ * Check a BENCH document's text: the current schema_version, a
+ * non-empty bench name, string headers and rows of the header width;
+ * a run table (app, mtbe and seed columns) repeats no configuration.
+ */
+SchemaErrors checkBenchDocument(const std::string &text);
 
 } // namespace commguard::sim
 

@@ -214,4 +214,57 @@ scenarioListJson()
     return document;
 }
 
+SchemaErrors
+checkScenarioList(const std::string &text)
+{
+    static constexpr SchemaMember kEntryMembers[] = {
+        {"name", JsonKind::String},
+        {"description", JsonKind::String},
+        {"paper_ref", JsonKind::String},
+        {"tags", JsonKind::Array},
+    };
+
+    SchemaErrors errors;
+    const std::optional<Json> document = parseObject(text, errors);
+    if (!document)
+        return errors;
+    checkVersion(*document, "schema_version", metrics::kSchemaVersion,
+                 errors);
+    const Json *scenarios =
+        typedMember(*document, {"scenarios", JsonKind::Array}, errors);
+    if (scenarios == nullptr)
+        return errors;
+    if (scenarios->arr().empty())
+        errors.push_back("scenarios array is empty");
+
+    const std::string *previous = nullptr;
+    for (std::size_t i = 0; i < scenarios->arr().size(); ++i) {
+        SchemaErrors entry_errors;
+        if (const auto members = requireMembers(scenarios->arr()[i],
+                                                kEntryMembers, entry_errors)) {
+            const auto &[name, description, paper_ref, tags] = *members;
+            if (name->str().empty() || description->str().empty() ||
+                paper_ref->str().empty())
+                entry_errors.push_back(
+                    "empty name, description or paper_ref");
+            if (tags->arr().empty())
+                entry_errors.push_back("empty tags array");
+            for (const Json &tag : tags->arr()) {
+                if (!tag.isString() || tag.str().empty()) {
+                    entry_errors.push_back(
+                        "tag is not a non-empty string");
+                    break;
+                }
+            }
+            if (previous != nullptr && name->str() <= *previous)
+                entry_errors.push_back("names not sorted/unique: '" +
+                                       name->str() + "' after '" +
+                                       *previous + "'");
+            previous = &name->str();
+        }
+        appendErrors(errors, "scenario " + std::to_string(i), entry_errors);
+    }
+    return errors;
+}
+
 } // namespace commguard::sim

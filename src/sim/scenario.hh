@@ -29,6 +29,7 @@
 
 #include "common/json.hh"
 #include "sim/experiment.hh"
+#include "sim/schema_check.hh"
 #include "sim/sweep_runner.hh"
 #include "sim/table.hh"
 
@@ -232,9 +233,15 @@ class ScenarioRegistrar
  * The machine-readable catalogue (`cg_bench list --json`):
  * {"schema_version": ..., "scenarios": [{"name", "description",
  * "paper_ref", "tags"}, ...]} in name order. Validated by
- * `jsonl_check --scenarios`.
+ * checkScenarioList().
  */
 Json scenarioListJson();
+
+/**
+ * Check a catalogue's text: entries with non-empty name, description,
+ * paper_ref and tags, names sorted and unique.
+ */
+SchemaErrors checkScenarioList(const std::string &text);
 
 } // namespace commguard::sim
 

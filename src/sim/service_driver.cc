@@ -442,4 +442,170 @@ ServiceDriver::run()
     return outcome;
 }
 
+namespace
+{
+
+/** checkServiceStream()'s state over one stream. */
+struct ServiceStreamCheck
+{
+    bool sawMeta = false;
+    bool sawSummary = false;
+    Count totalFrames = 0;
+    Count snapshots = 0;  //!< Snapshot records so far: the next index.
+    Count lastSlice = 0;
+    Count lastAdmitted = 0;
+    Count events = 0;
+    Count errorsInjected = 0;  //!< Sum of snapshot errors_injected.
+    Count repairs = 0;         //!< Sum of snapshot repairs.
+
+    SchemaErrors checkRecord(const Json &record, std::size_t line);
+};
+
+constexpr SchemaMember kSnapshotMembers[] = {
+    {"index", JsonKind::Count},
+    {"slice", JsonKind::Count},
+    {"frames_admitted", JsonKind::Count},
+    {"frames_completed", JsonKind::Count},
+    {"errors_injected", JsonKind::Count},
+    {"repairs", JsonKind::Count},
+    {"deltas", JsonKind::Object},
+};
+
+constexpr SchemaMember kSummaryMembers[] = {
+    {"completed", JsonKind::Bool},
+    {"frames_completed", JsonKind::Count},
+    {"snapshots", JsonKind::Count},
+    {"events_applied", JsonKind::Count},
+    {"errors_injected", JsonKind::Count},
+    {"repairs", JsonKind::Count},
+};
+
+SchemaErrors
+ServiceStreamCheck::checkRecord(const Json &record, std::size_t line)
+{
+    SchemaErrors errors;
+    checkVersion(record, "service_schema_version", kServiceSchemaVersion,
+                 errors);
+    const Json *type =
+        typedMember(record, {"type", JsonKind::String}, errors);
+    if (!errors.empty())
+        return errors;
+    if (sawSummary)
+        return {"record after the summary (summary must be last)"};
+
+    if (type->str() == "meta") {
+        if (sawMeta || line != 1)
+            return {"meta record is not alone on the first line"};
+        const Json *frames =
+            typedMember(record, {"total_frames", JsonKind::Count}, errors);
+        if (frames != nullptr && frames->counter() == 0)
+            errors.push_back("meta lacks a positive total_frames");
+        if (!errors.empty())
+            return errors;
+        sawMeta = true;
+        totalFrames = frames->counter();
+        return {};
+    }
+    if (!sawMeta)
+        return {"stream does not begin with a meta record"};
+
+    if (type->str() == "event") {
+        const char *kinds[] = {eventKindName(ServiceEvent::Kind::MtbeDegrade),
+                               eventKindName(ServiceEvent::Kind::Remap)};
+        const Json *kind =
+            typedMember(record, {"kind", JsonKind::String}, errors);
+        if (kind != nullptr && kind->str() != kinds[0] &&
+            kind->str() != kinds[1])
+            errors.push_back("event kind " + kind->dump() + " is not " +
+                             kinds[0] + "/" + kinds[1]);
+        events += errors.empty() ? 1 : 0;
+        return errors;
+    }
+
+    if (type->str() == "snapshot") {
+        const auto members = requireMembers(record, kSnapshotMembers, errors);
+        if (!members)
+            return errors;
+        const auto &[index, slice, admitted, completed, errors_injected,
+                     repairs_json, deltas] = *members;
+        if (!checkCountMembers(*deltas, errors))
+            return errors;
+        Count delta_errors = 0;
+        Count delta_repairs = 0;
+        for (const auto &[name, value] : deltas->obj()) {
+            if (metrics::leafName(name) == "errorsInjected")
+                delta_errors += value.counter();
+            else if (protection::isRepairCounter(name))
+                delta_repairs += value.counter();
+        }
+        if (errors_injected->counter() != delta_errors ||
+            repairs_json->counter() != delta_repairs)
+            return {"snapshot errors_injected/repairs " +
+                    errors_injected->dump() + "/" + repairs_json->dump() +
+                    " != deltas' " + std::to_string(delta_errors) + "/" +
+                    std::to_string(delta_repairs)};
+        if (index->counter() != snapshots)
+            return {"snapshot index " + index->dump() +
+                    " is not consecutive (expected " +
+                    std::to_string(snapshots) + ")"};
+        if (slice->counter() < lastSlice)
+            return {"snapshot slice " + slice->dump() +
+                    " decreases below " + std::to_string(lastSlice)};
+        if (admitted->counter() < lastAdmitted ||
+            admitted->counter() > totalFrames ||
+            completed->counter() > admitted->counter())
+            return {"frames_completed " + completed->dump() +
+                    ", frames_admitted " + admitted->dump() +
+                    ": need completed <= admitted <= total_frames " +
+                    std::to_string(totalFrames) + " and admitted >= " +
+                    std::to_string(lastAdmitted)};
+        ++snapshots;
+        lastSlice = slice->counter();
+        lastAdmitted = admitted->counter();
+        errorsInjected += errors_injected->counter();
+        repairs += repairs_json->counter();
+        return {};
+    }
+
+    if (type->str() != "summary")
+        return {"unknown record type " + type->dump()};
+    const auto members = requireMembers(record, kSummaryMembers, errors);
+    if (!members)
+        return errors;
+    const auto &[completed, frames, snapshot_count, events_applied,
+                 errors_injected, repairs_json] = *members;
+    if (completed->boolean() && frames->counter() != totalFrames)
+        errors.push_back("summary claims completed but frames_completed " +
+                         frames->dump() + " != total_frames " +
+                         std::to_string(totalFrames));
+    if (snapshot_count->counter() != snapshots ||
+        events_applied->counter() != events ||
+        errors_injected->counter() != errorsInjected ||
+        repairs_json->counter() != repairs)
+        errors.push_back(
+            "summary snapshots/events_applied/errors_injected/repairs " +
+            snapshot_count->dump() + "/" + events_applied->dump() + "/" +
+            errors_injected->dump() + "/" + repairs_json->dump() +
+            " != the stream's " + std::to_string(snapshots) + "/" +
+            std::to_string(events) + "/" + std::to_string(errorsInjected) +
+            "/" + std::to_string(repairs));
+    sawSummary = errors.empty();
+    return errors;
+}
+
+} // namespace
+
+SchemaErrors
+checkServiceStream(const std::string &text)
+{
+    ServiceStreamCheck stream;
+    SchemaErrors errors = checkJsonlLines(
+        text, [&](const Json &record, std::size_t line) {
+            return stream.checkRecord(record, line);
+        });
+    if (!stream.sawSummary)
+        errors.push_back("no summary record");
+    return errors;
+}
+
 } // namespace commguard::sim

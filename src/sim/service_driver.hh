@@ -34,13 +34,14 @@
 
 #include "apps/app.hh"
 #include "common/json.hh"
+#include "sim/schema_check.hh"
 #include "streamit/loader.hh"
 
 namespace commguard::sim
 {
 
 /**
- * Version of the service JSONL record schema (`jsonl_check --service`).
+ * Version of the service JSONL record schema (checkServiceStream()).
  * Bump on any breaking change to the meta/event/snapshot/summary record
  * layout.
  *
@@ -168,6 +169,13 @@ class ServiceDriver
   private:
     ServiceConfig _config;
 };
+
+/**
+ * Check a service stream's text: the meta record first, consecutive
+ * snapshots whose errors_injected/repairs equal their deltas summed by
+ * leaf, and one summary, last, that reconciles with the stream.
+ */
+SchemaErrors checkServiceStream(const std::string &text);
 
 } // namespace commguard::sim
 

@@ -79,7 +79,6 @@ SweepRunner::runAll()
     _startSeconds = monotonicSeconds();
     _nextPrintSeconds.store(_startSeconds + progressQuietSeconds,
                             std::memory_order_relaxed);
-    _useCallback = static_cast<bool>(_progress);
     _useOutcomeObserver = static_cast<bool>(_outcomeObserver);
 
     const EnvOptions &env = EnvOptions::get();
@@ -242,14 +241,6 @@ SweepRunner::finishRun(const RunDescriptor &descriptor,
 void
 SweepRunner::reportProgress(std::size_t done)
 {
-    if (_useCallback) {
-        // Observer path: serialized so callbacks never interleave.
-        std::lock_guard<std::mutex> lock(_progressMutex);
-        if (_progress)
-            _progress(done, _total);
-        return;
-    }
-
     // Default reporter: silent for quick sweeps, then a line roughly
     // every two seconds so long benches never look hung. Fast path is
     // one relaxed load + one clock read and NO mutex — the previous

@@ -112,26 +112,13 @@ class SweepRunner
     }
 
     /**
-     * Observer called after each completed run with (done, total);
-     * invoked under an internal mutex, possibly from worker threads.
-     * Replaces the default stderr progress printer. Install it before
-     * runAll(): the batch latches whether a callback is present at its
-     * start.
-     */
-    void setProgress(
-        std::function<void(std::size_t, std::size_t)> callback)
-    {
-        _progress = std::move(callback);
-    }
-
-    /**
      * Observer called after each completed run with (done, total,
      * descriptor, outcome) — the sweep health board's hook
      * (sim/telemetry_export.hh). Invoked under an internal mutex,
-     * possibly from worker threads; it takes precedence over both
-     * setProgress() and the default printer. Like setProgress(), the
-     * batch latches its presence at runAll() start. Cache hits report
-     * through it too (from the submitting thread).
+     * possibly from worker threads; it replaces the default stderr
+     * progress printer. Install it before runAll(): the batch latches
+     * its presence at its start. Cache hits report through it too
+     * (from the submitting thread).
      */
     using OutcomeObserver = std::function<void(
         std::size_t, std::size_t, const RunDescriptor &,
@@ -160,8 +147,6 @@ class SweepRunner
 
     std::size_t _total = 0;
     std::atomic<std::size_t> _completed{0};
-    std::function<void(std::size_t, std::size_t)> _progress;
-    bool _useCallback = false;  //!< Latched per batch from _progress.
     OutcomeObserver _outcomeObserver;
     bool _useOutcomeObserver = false;  //!< Latched per batch.
 

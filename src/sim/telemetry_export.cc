@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -15,6 +16,7 @@
 #include "sim/env_options.hh"
 #include "sim/protection.hh"
 #include "sim/result_cache.hh"
+#include "sim/run_export.hh"
 
 namespace commguard::sim
 {
@@ -401,14 +403,7 @@ telemetryRecordsJson(const RunDescriptor &descriptor,
         Json record = Json::object();
         record["telemetry_schema_version"] =
             Json(telemetry::kTelemetrySchemaVersion);
-        record["app"] = Json(descriptor.app->name);
-        record["protection_mode"] = Json(
-            protection::protectionModeName(descriptor.options.mode));
-        record["inject_errors"] =
-            Json(descriptor.options.injectErrors);
-        record["mtbe"] = Json(descriptor.options.mtbe);
-        record["seed"] = Json(Count{descriptor.options.seed});
-        record["frame_scale"] = Json(descriptor.options.frameScale);
+        putDescriptorMembers(record, descriptor);
         record["run_index"] = Json(run_index);
         record["sample"] = Json(sample.index);
         record["slice"] = Json(sample.slice);
@@ -449,6 +444,150 @@ telemetryLines(const RunDescriptor &descriptor,
         lines += record.dump();
     }
     return lines;
+}
+
+namespace
+{
+
+/**
+ * checkTelemetryStream()'s state: the run whose records are streaming
+ * past (runs are contiguous, so one suffices) and the closed runs.
+ */
+struct TelemetryStreamCheck
+{
+    bool active = false;
+    Count runIndex = 0;
+    Count records = 0;
+    Count nextSample = 0;
+    Count lastSlice = 0;
+    Count lastCycles = 0;
+    std::map<std::string, Count> deltaSums;
+    std::set<Count> finished;
+
+    SchemaErrors checkRecord(const Json &record);
+    SchemaErrors finishRun(const Json &record);
+};
+
+SchemaErrors
+TelemetryStreamCheck::checkRecord(const Json &record)
+{
+    static constexpr SchemaMember kSampleMembers[] = {
+        {"run_index", JsonKind::Count}, {"sample", JsonKind::Count},
+        {"slice", JsonKind::Count},     {"cycles", JsonKind::Count},
+        {"final", JsonKind::Bool},      {"deltas", JsonKind::Object},
+    };
+    SchemaErrors errors = descriptorErrors(record);
+    checkVersion(record, "telemetry_schema_version",
+                 telemetry::kTelemetrySchemaVersion, errors);
+    const auto members = requireMembers(record, kSampleMembers, errors);
+    if (!members)
+        return errors;
+    const auto &[run_json, sample_json, slice_json, cycles_json,
+                 final_flag, deltas] = *members;
+    checkCountMembers(*deltas, errors);
+    if (!errors.empty())
+        return errors;
+    const Count run = run_json->counter();
+    const Count sample = sample_json->counter();
+    const Count slice = slice_json->counter();
+    const Count cycles = cycles_json->counter();
+
+    if (!active || run != runIndex) {
+        // A new run begins; the previous one must have been closed by
+        // its final record, and run indices must never interleave.
+        if (active || finished.count(run) > 0)
+            return {"run " + std::to_string(run) + " starts before run " +
+                    std::to_string(runIndex) +
+                    "'s final record, or after its own (records must "
+                    "be contiguous per run)"};
+        active = true;
+        runIndex = run;
+        records = 0;
+        nextSample = sample;
+        deltaSums.clear();
+    } else if (slice <= lastSlice || cycles < lastCycles) {
+        return {"slice/cycles " + std::to_string(slice) + "/" +
+                std::to_string(cycles) + " after " +
+                std::to_string(lastSlice) + "/" +
+                std::to_string(lastCycles) +
+                " (slices must increase, cycles must not decrease)"};
+    }
+    if (sample != nextSample)
+        return {"sample index " + std::to_string(sample) +
+                " is not consecutive (expected " +
+                std::to_string(nextSample) + ")"};
+    ++nextSample;
+    ++records;
+    lastSlice = slice;
+    lastCycles = cycles;
+    for (const auto &[name, delta] : deltas->obj()) {
+        if (delta.counter() == 0)
+            return {"deltas['" + name + "'] is zero (deltas are sparse)"};
+        deltaSums[name] += delta.counter();
+    }
+    return final_flag->boolean() ? finishRun(record) : SchemaErrors{};
+}
+
+SchemaErrors
+TelemetryStreamCheck::finishRun(const Json &record)
+{
+    // The final record must reconcile: sample accounting, and, when
+    // nothing was folded out of the ring, conservation of every
+    // counter (sum of streamed deltas == final cumulative totals).
+    static constexpr SchemaMember kFinalMembers[] = {
+        {"samples_taken", JsonKind::Count},
+        {"samples_dropped", JsonKind::Count},
+        {"cumulative", JsonKind::Object},
+    };
+    SchemaErrors errors;
+    const auto members = requireMembers(record, kFinalMembers, errors);
+    if (!members)
+        return errors;
+    const auto &[taken, dropped, cumulative] = *members;
+    if (taken->counter() != dropped->counter() + records)
+        return {"samples_taken " + taken->dump() + " != dropped " +
+                dropped->dump() + " + " + std::to_string(records) +
+                " streamed records"};
+    if (dropped->counter() == 0 && checkCountMembers(*cumulative, errors)) {
+        for (const auto &[name, total] : cumulative->obj()) {
+            const auto it = deltaSums.find(name);
+            const Count summed = it == deltaSums.end() ? 0 : it->second;
+            if (summed != total.counter())
+                errors.push_back("conservation violated for '" + name +
+                                 "': deltas sum to " +
+                                 std::to_string(summed) +
+                                 ", cumulative says " + total.dump());
+        }
+        for (const auto &[name, summed] : deltaSums) {
+            if (summed != 0 && cumulative->find(name) == nullptr)
+                errors.push_back("counter '" + name +
+                                 "' has streamed deltas (" +
+                                 std::to_string(summed) +
+                                 ") but no cumulative entry");
+        }
+    }
+    if (errors.empty()) {
+        active = false;
+        finished.insert(runIndex);
+    }
+    return errors;
+}
+
+} // namespace
+
+SchemaErrors
+checkTelemetryStream(const std::string &text)
+{
+    TelemetryStreamCheck stream;
+    SchemaErrors errors = checkJsonlLines(
+        text, [&](const Json &record, std::size_t) {
+            return stream.checkRecord(record);
+        });
+    if (stream.active)
+        errors.push_back("run " + std::to_string(stream.runIndex) +
+                         " is missing its final record at the end of "
+                         "the stream");
+    return errors;
 }
 
 void

@@ -29,6 +29,7 @@
 
 #include "common/json.hh"
 #include "common/thread_pool.hh"
+#include "sim/schema_check.hh"
 #include "sim/sweep_runner.hh"
 
 namespace commguard::sim
@@ -57,6 +58,13 @@ std::vector<Json> telemetryRecordsJson(const RunDescriptor &descriptor,
  */
 std::string telemetryLines(const RunDescriptor &descriptor,
                            const RunOutcome &outcome, Count run_index);
+
+/**
+ * Check a telemetry stream's text: contiguous runs of consecutive
+ * samples, each closed by one final record whose cumulative totals
+ * equal the streamed delta sums when no sample was dropped.
+ */
+SchemaErrors checkTelemetryStream(const std::string &text);
 
 /**
  * Fold one finished batch into the process-wide HTML report state

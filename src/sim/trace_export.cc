@@ -406,6 +406,131 @@ traceConservationErrors(const trace::EventTrace &trace,
     return errors;
 }
 
+SchemaErrors
+forensicsErrors(const Json &forensics)
+{
+    static constexpr SchemaMember kCounts[] = {
+        {"errors_injected", JsonKind::Count}, {"repaired", JsonKind::Count},
+        {"queue_corruptions", JsonKind::Count}, {"eoc_pads", JsonKind::Count},
+        {"repair_episodes", JsonKind::Count},
+        {"unrepaired", JsonKind::Count},
+        {"events_dropped", JsonKind::Count},
+    };
+    static constexpr SchemaMember kDistributionMembers[] = {
+        {"count", JsonKind::Count}, {"max", JsonKind::Count},
+        {"mean", JsonKind::Number}, {"histogram", JsonKind::Array},
+    };
+
+    if (!forensics.isObject())
+        return {"not an object"};
+    SchemaErrors errors;
+    requireMembers(forensics, kCounts, errors);
+    for (const char *key :
+         {"ttr_slices", "items_padded", "items_discarded"}) {
+        const Json *distribution =
+            typedMember(forensics, {key, JsonKind::Object}, errors);
+        if (distribution == nullptr)
+            continue;
+        SchemaErrors distribution_errors;
+        if (const auto fields = requireMembers(
+                *distribution, kDistributionMembers, distribution_errors)) {
+            const auto &[count, max, mean, histogram] = *fields;
+            for (const Json &bin : histogram->arr()) {
+                if (!bin.isArray() || bin.arr().size() != 2) {
+                    distribution_errors.push_back(
+                        "histogram bin is not [value, count]");
+                    break;
+                }
+            }
+        }
+        appendErrors(errors, key, distribution_errors);
+    }
+    const Json *conservation = typedMember(
+        forensics, {"conservation_errors", JsonKind::Array}, errors);
+    if (conservation != nullptr && !conservation->arr().empty())
+        errors.push_back("conservation violated: " + conservation->dump());
+    return errors;
+}
+
+SchemaErrors
+checkPerfettoTrace(const std::string &text)
+{
+    SchemaErrors errors;
+    const std::optional<Json> document = parseObject(text, errors);
+    if (!document)
+        return errors;
+    static constexpr SchemaMember kDocumentMembers[] = {
+        {"traceEvents", JsonKind::Array},
+        {"commguard", JsonKind::Object},
+    };
+    const auto members =
+        requireMembers(*document, kDocumentMembers, errors);
+    if (!members)
+        return errors;
+    const auto &[events, sidecar] = *members;
+
+    checkVersion(*sidecar, "schema_version", metrics::kSchemaVersion,
+                 errors);
+    const Json *counts =
+        typedMember(*sidecar, {"event_counts", JsonKind::Object}, errors);
+    const Json *dropped =
+        typedMember(*sidecar, {"dropped", JsonKind::Count}, errors);
+    if (counts != nullptr)
+        checkCountMembers(*counts, errors);
+    if (!errors.empty())
+        return errors;
+
+    // Tally the stream: instant events per kind name, counter events
+    // as queueDepth samples. Metadata events only need ph and name.
+    static constexpr SchemaMember kEventMembers[] = {
+        {"ph", JsonKind::String},
+        {"name", JsonKind::Any},
+    };
+    std::map<std::string, Count> tallied;
+    Count depth_samples = 0;
+    for (std::size_t i = 0; i < events->arr().size(); ++i) {
+        SchemaErrors event_errors;
+        if (const auto fields = requireMembers(events->arr()[i],
+                                               kEventMembers, event_errors)) {
+            const auto &[ph, name] = *fields;
+            if (ph->str() == "C")
+                ++depth_samples;
+            else if (ph->str() == "i" && name->isString())
+                ++tallied[name->str()];
+            else if (ph->str() == "i")
+                event_errors.push_back("instant event name is not a "
+                                       "string: " + name->dump());
+        }
+        if (!event_errors.empty()) {
+            appendErrors(errors, "traceEvents[" + std::to_string(i) + "]",
+                         event_errors);
+            return errors;
+        }
+    }
+
+    // Retained records never exceed the exact counts; with no drops
+    // they must match exactly.
+    const bool exact = dropped->counter() == 0;
+    for (const auto &[kind, declared] : counts->obj()) {
+        const Count expected = declared.counter();
+        const Count seen =
+            kind == "queueDepth" ? depth_samples : tallied[kind];
+        if (seen > expected || (exact && seen != expected)) {
+            errors.push_back("event '" + kind + "': stream has " +
+                             std::to_string(seen) +
+                             ", event_counts says " +
+                             std::to_string(expected) +
+                             (exact ? " (no drops)" : ""));
+        }
+    }
+    for (const auto &[kind, seen] : tallied) {
+        if (counts->find(kind) == nullptr)
+            errors.push_back("stream event '" + kind +
+                             "' missing from event_counts");
+    }
+    return errors;
+}
+
 void
 writeTraceFile(const std::string &path, const trace::EventTrace &trace)
 {

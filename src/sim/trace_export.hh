@@ -26,6 +26,9 @@
  *    event count against the run's metric counters (docs/TRACING.md
  *    lists the mapping). An empty result is the proof that the trace
  *    and the PR 2 metrics registry saw the same run.
+ *
+ * The schema checks of the trace document and of the forensics
+ * section live here too (sim/schema_check.hh).
  */
 
 #ifndef COMMGUARD_SIM_TRACE_EXPORT_HH
@@ -37,6 +40,7 @@
 #include "common/event_trace.hh"
 #include "common/json.hh"
 #include "common/metrics.hh"
+#include "sim/schema_check.hh"
 
 namespace commguard::sim
 {
@@ -58,6 +62,18 @@ Json forensicsJson(const trace::EventTrace &trace);
 std::vector<std::string>
 traceConservationErrors(const trace::EventTrace &trace,
                         const metrics::MetricSnapshot &snapshot);
+
+/**
+ * Check a run record's forensics section: forensicsJson()'s members
+ * and an empty conservation_errors (traceConservationErrors()) array.
+ */
+SchemaErrors forensicsErrors(const Json &forensics);
+
+/**
+ * Check a Perfetto trace document's text: the stream's events tally
+ * with the exact commguard.event_counts (equal when nothing dropped).
+ */
+SchemaErrors checkPerfettoTrace(const std::string &text);
 
 /** Write perfettoTraceJson(trace) to @p path (warn on I/O failure). */
 void writeTraceFile(const std::string &path,

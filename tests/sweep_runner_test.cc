@@ -494,7 +494,9 @@ TEST(SweepRunner, ProgressCounterReachesTotal)
 
     std::atomic<std::size_t> reports{0};
     std::atomic<std::size_t> last_done{0};
-    runner.setProgress([&](std::size_t done, std::size_t total) {
+    runner.setOutcomeObserver([&](std::size_t done, std::size_t total,
+                                  const RunDescriptor &,
+                                  const RunOutcome &) {
         reports.fetch_add(1);
         EXPECT_LE(done, total);
         EXPECT_EQ(total, 3u);
