@@ -155,7 +155,9 @@ echo "check.sh: protection-backend gate ok (all registered modes swept)"
 # must emit a schema-valid telemetry stream whose bytes are identical
 # for CG_JOBS=1 and CG_JOBS=8 (run outcomes and export bytes never
 # depend on host parallelism), plus a non-empty HTML run report next
-# to the stream.
+# to the stream. Its CG_JOBS=1 trace files must equal the traced
+# sweep's above (default CG_JOBS, telemetry off) name for name and
+# byte for byte: trace bytes depend on neither.
 TELEM_A="$BUILD_DIR/telemetry_a.jsonl"
 TELEM_B="$BUILD_DIR/telemetry_b.jsonl"
 TELEM_TRACE_DIR="$BUILD_DIR/telemetry_trace"
@@ -177,8 +179,21 @@ for REPORT in "$TELEM_A.html" "$TELEM_B.html"; do
         exit 1
     fi
 done
-echo "check.sh: telemetry gate ok (stream byte-stable across jobs," \
-     "reports emitted)"
+if [ "$(ls "$TELEM_TRACE_DIR")" != "$(ls "$TRACE_DIR")" ]; then
+    echo "check.sh: $TELEM_TRACE_DIR and $TRACE_DIR hold different" \
+         "trace files" >&2
+    exit 1
+fi
+for TRACE in "$TRACE_DIR"/*.json; do
+    if ! cmp -s "$TRACE" "$TELEM_TRACE_DIR/$(basename "$TRACE")"; then
+        echo "check.sh: trace $(basename "$TRACE") depends on CG_JOBS" \
+             "or telemetry" >&2
+        exit 1
+    fi
+done
+rm -rf "$TELEM_TRACE_DIR"
+echo "check.sh: telemetry gate ok (stream and traces byte-stable across" \
+     "jobs, reports emitted)"
 
 # Result-cache gate (docs/RESULT_CACHE.md): the same quick sweep run
 # without a cache, against an empty CG_CACHE_DIR (cold) and against

@@ -1,10 +1,11 @@
 #include "common/json.hh"
 
 #include <cctype>
+#include <cerrno>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 namespace commguard
 {
@@ -12,42 +13,24 @@ namespace commguard
 namespace
 {
 
+template <typename Integer>
 void
-writeEscaped(std::ostream &os, const std::string &text)
+appendInteger(std::string &out, Integer value)
 {
-    os << '"';
-    for (const char c : text) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x",
-                              static_cast<unsigned>(
-                                  static_cast<unsigned char>(c)));
-                os << buf;
-            } else {
-                os << c;
-            }
-        }
-    }
-    os << '"';
+    char buf[24];
+    out.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
 }
 
 /** Shortest-exact double form (round-trips via strtod). */
 void
-writeDouble(std::ostream &os, double value)
+appendDouble(std::string &out, double value)
 {
     if (!std::isfinite(value)) {
         // JSON has no Infinity/NaN literals; non-finite doubles are
         // emitted as tagged strings and mapped back by the consumers
         // that expect them (metric snapshots, quality gauges).
-        os << (std::isnan(value) ? "\"nan\""
-                                 : (value > 0 ? "\"inf\"" : "\"-inf\""));
+        out += std::isnan(value) ? "\"nan\""
+                                 : (value > 0 ? "\"inf\"" : "\"-inf\"");
         return;
     }
     char buf[40];
@@ -56,7 +39,7 @@ writeDouble(std::ostream &os, double value)
         if (std::strtod(buf, nullptr) == value)
             break;
     }
-    os << buf;
+    out += buf;
 }
 
 // ------------------------------------------------------------------
@@ -290,6 +273,47 @@ struct Parser
 
 } // namespace
 
+void
+appendJsonString(std::string &out, std::string_view text)
+{
+    out += '"';
+    // Copy runs of plain characters in one append; escape the rest.
+    std::size_t plain = 0;
+    for (std::size_t i = 0; i < text.size(); ++i) {
+        const char c = text[i];
+        const char *escape = nullptr;
+        switch (c) {
+          case '"': escape = "\\\""; break;
+          case '\\': escape = "\\\\"; break;
+          case '\n': escape = "\\n"; break;
+          case '\r': escape = "\\r"; break;
+          case '\t': escape = "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) >= 0x20)
+                continue;
+        }
+        out.append(text, plain, i - plain);
+        plain = i + 1;
+        if (escape != nullptr) {
+            out += escape;
+        } else {
+            char buf[8];
+            std::snprintf(buf, sizeof(buf), "\\u%04x",
+                          static_cast<unsigned>(
+                              static_cast<unsigned char>(c)));
+            out += buf;
+        }
+    }
+    out.append(text, plain, text.size() - plain);
+    out += '"';
+}
+
+void
+appendJsonCount(std::string &out, Count value)
+{
+    appendInteger(out, value);
+}
+
 double
 Json::number() const
 {
@@ -323,51 +347,51 @@ Json::find(const std::string &key) const
 }
 
 void
-Json::write(std::ostream &os) const
+Json::append(std::string &out) const
 {
     if (isNull()) {
-        os << "null";
+        out += "null";
     } else if (isBool()) {
-        os << (boolean() ? "true" : "false");
+        out += boolean() ? "true" : "false";
     } else if (holds<Count>()) {
-        os << std::get<Count>(_value);
+        appendInteger(out, std::get<Count>(_value));
     } else if (holds<std::int64_t>()) {
-        os << std::get<std::int64_t>(_value);
+        appendInteger(out, std::get<std::int64_t>(_value));
     } else if (holds<double>()) {
-        writeDouble(os, std::get<double>(_value));
+        appendDouble(out, std::get<double>(_value));
     } else if (isString()) {
-        writeEscaped(os, str());
+        appendJsonString(out, str());
     } else if (isArray()) {
-        os << '[';
+        out += '[';
         bool first = true;
         for (const Json &item : arr()) {
             if (!first)
-                os << ',';
+                out += ',';
             first = false;
-            item.write(os);
+            item.append(out);
         }
-        os << ']';
+        out += ']';
     } else {
-        os << '{';
+        out += '{';
         bool first = true;
         for (const auto &[key, value] : obj()) {
             if (!first)
-                os << ',';
+                out += ',';
             first = false;
-            writeEscaped(os, key);
-            os << ':';
-            value.write(os);
+            appendJsonString(out, key);
+            out += ':';
+            value.append(out);
         }
-        os << '}';
+        out += '}';
     }
 }
 
 std::string
 Json::dump() const
 {
-    std::ostringstream os;
-    write(os);
-    return os.str();
+    std::string out;
+    append(out);
+    return out;
 }
 
 bool

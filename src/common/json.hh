@@ -22,6 +22,7 @@
 #include <map>
 #include <ostream>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
@@ -29,6 +30,16 @@
 
 namespace commguard
 {
+
+/**
+ * Append @p text to @p out as a quoted JSON string literal. This is
+ * the escaper Json::dump() uses, so writers that stream JSON text
+ * directly produce the same bytes as the DOM.
+ */
+void appendJsonString(std::string &out, std::string_view text);
+
+/** Append the decimal digits of @p value to @p out. */
+void appendJsonCount(std::string &out, Count value);
 
 /**
  * An immutable-by-convention JSON document node.
@@ -101,7 +112,7 @@ class Json
 
     /** Canonical single-line serialization (sorted object keys). */
     std::string dump() const;
-    void write(std::ostream &os) const;
+    void write(std::ostream &os) const { os << dump(); }
 
     /**
      * Parse one JSON document. Returns false (and sets @p error when
@@ -119,6 +130,8 @@ class Json
     {
         return std::holds_alternative<T>(_value);
     }
+
+    void append(std::string &out) const;
 
     std::variant<std::nullptr_t, bool, double, Count, std::int64_t,
                  std::string, Object, Array>

@@ -192,7 +192,7 @@ struct ExecutedRun
     /** runRecordJson(descriptor, outcome).dump() (one JSONL line). */
     std::string recordLine;
 
-    /** perfettoTraceJson(...).dump() for traced runs. */
+    /** perfettoTraceText(...) for traced runs. */
     std::string traceDoc;
 
     /** telemetryLines(...) chunk for telemetry-sampled runs. */

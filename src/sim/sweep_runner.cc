@@ -144,8 +144,7 @@ SweepRunner::runAll()
                 run.recordLine =
                     runRecordJson(descriptor, run.outcome).dump();
             if (want_traces && run.outcome.eventTrace != nullptr)
-                run.traceDoc =
-                    perfettoTraceJson(*run.outcome.eventTrace).dump();
+                run.traceDoc = perfettoTraceText(*run.outcome.eventTrace);
             if (want_telemetry)
                 run.telemetryChunk = telemetryLines(
                     descriptor, run.outcome, telemetry_base + i);

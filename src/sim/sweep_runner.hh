@@ -16,9 +16,10 @@
  * any job count and cache hit/miss history, because all randomness
  * lives in per-run seeded RNGs and the engine only decides *when* a
  * run executes, never what it computes. Export artifacts (CG_JSONL
- * lines, Perfetto trace documents) are *serialized* on the worker that
- * ran the run and *written* after the batch in submission order, so
- * file bytes carry the same independence.
+ * lines from runRecordJson(), Perfetto trace documents streamed by
+ * perfettoTraceText()) are *serialized* on the worker that ran the run
+ * and *written* after the batch in submission order, so file bytes
+ * carry the same independence.
  *
  * Ownership: a SweepRunner owns its pool for its whole lifetime (pool
  * workers and run scratches are reused across runAll() calls);

@@ -1,9 +1,11 @@
 #include "sim/trace_export.hh"
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <string_view>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -28,6 +30,13 @@ amStateName(std::uint8_t state)
 constexpr std::uint8_t kAmRcvCmp = 0;
 constexpr std::uint8_t kAmPdg = 4;
 
+/**
+ * perfettoTraceText's reserve per retained event; one instant with its
+ * args takes about 100-120 bytes. Each track, queue and the sidecar's
+ * fixed members are budgeted as about one event each.
+ */
+constexpr std::size_t kEventBytes = 128;
+
 std::string
 queueName(const trace::EventTrace &trace, std::uint16_t id)
 {
@@ -36,20 +45,39 @@ queueName(const trace::EventTrace &trace, std::uint16_t id)
     return "queue" + std::to_string(id);
 }
 
-/** All retained events over all tracks, tagged with their track. */
+/** A retained event tagged with its track. */
 struct TaggedEvent
 {
     trace::Event event;
     std::size_t track;
 };
 
+/** Is @p kind one of the events forensicsJson's join reads? */
+bool
+joinedByForensics(trace::EventKind kind)
+{
+    switch (kind) {
+    case trace::EventKind::ErrorInjected:
+    case trace::EventKind::QueueCorrupt:
+    case trace::EventKind::AmPad:
+    case trace::EventKind::AmDiscardItem:
+    case trace::EventKind::AmDiscardHeader:
+    case trace::EventKind::AmTransition:
+        return true;
+    default:
+        return false;
+    }
+}
+
+/** The retained events the forensics join reads, in seq order. */
 std::vector<TaggedEvent>
 mergedEvents(const trace::EventTrace &trace)
 {
     std::vector<TaggedEvent> merged;
     for (std::size_t i = 0; i < trace.numTracks(); ++i)
         for (const trace::Event &event : trace.track(i).events())
-            merged.push_back({event, i});
+            if (joinedByForensics(event.kind))
+                merged.push_back({event, i});
     std::sort(merged.begin(), merged.end(),
               [](const TaggedEvent &a, const TaggedEvent &b) {
                   return a.event.seq < b.event.seq;
@@ -85,34 +113,197 @@ distributionJson(const std::vector<Count> &samples)
     return dist;
 }
 
+/** Event kind names as JSON literals, in Json's object-key order. */
+struct KindNames
+{
+    std::array<std::string, trace::numEventKinds> quoted; //!< By kind.
+    std::array<trace::EventKind, trace::numEventKinds> keyOrder;
+};
+
+const KindNames &
+kindNames()
+{
+    static const KindNames names = [] {
+        KindNames built;
+        for (std::size_t k = 0; k < trace::numEventKinds; ++k) {
+            const auto kind = static_cast<trace::EventKind>(k);
+            appendJsonString(built.quoted[k], trace::eventKindName(kind));
+            built.keyOrder[k] = kind;
+        }
+        std::sort(built.keyOrder.begin(), built.keyOrder.end(),
+                  [](trace::EventKind a, trace::EventKind b) {
+                      return std::string_view(trace::eventKindName(a)) <
+                             std::string_view(trace::eventKindName(b));
+                  });
+        return built;
+    }();
+    return names;
+}
+
+/**
+ * One trace's track and queue names as JSON literals, escaped once
+ * per trace. Each registered queue has two: its name (an args value)
+ * and its "queue:<name>" counter series.
+ */
+struct QuotedNames
+{
+    explicit QuotedNames(const trace::EventTrace &trace) : trace(trace)
+    {
+        for (std::size_t i = 0; i < trace.numTracks(); ++i)
+            appendJsonString(tracks.emplace_back(), trace.track(i).name());
+        for (const std::string &name : trace.queueNames()) {
+            appendJsonString(queues.emplace_back(), name);
+            appendJsonString(series.emplace_back(), "queue:" + name);
+        }
+    }
+
+    /** Queue @p id's name, or its counter series when @p as_series. */
+    void
+    appendQueue(std::string &out, std::uint16_t id, bool as_series) const
+    {
+        const std::vector<std::string> &quoted =
+            as_series ? series : queues;
+        if (id < quoted.size())
+            out += quoted[id];
+        else
+            appendJsonString(out, (as_series ? "queue:" : "") +
+                                      queueName(trace, id));
+    }
+
+    const trace::EventTrace &trace;
+    std::vector<std::string> tracks;
+    std::vector<std::string> queues;
+    std::vector<std::string> series;
+};
+
+/** Append @p key (with its JSON punctuation) and then @p value. */
+void
+appendCount(std::string &out, const char *key, Count value)
+{
+    out += key;
+    appendJsonCount(out, value);
+}
+
+/** An instant event's args object, members in Json's key order. */
+void
+appendInstantArgs(std::string &out, const trace::Event &event,
+                  const QuotedNames &names)
+{
+    switch (event.kind) {
+    case trace::EventKind::ErrorInjected:
+        appendCount(out, R"({"bit":)", event.b);
+        appendCount(out, R"(,"cycle":)", event.time);
+        appendCount(out, R"(,"reg":)", event.a);
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    case trace::EventKind::QueueCorrupt:
+        appendCount(out, R"({"cycle":)", event.time);
+        out += R"(,"queue":)";
+        names.appendQueue(out, event.b, false);
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    case trace::EventKind::HeaderInsert:
+        appendCount(out, R"({"cycle":)", event.time);
+        appendCount(out, R"(,"frame":)", event.value);
+        appendCount(out, R"(,"port":)", event.a);
+        out += R"(,"queue":)";
+        names.appendQueue(out, event.b, false);
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    case trace::EventKind::AmTransition:
+        appendCount(out, R"({"cycle":)", event.time);
+        out += R"(,"from":)";
+        appendJsonString(
+            out, amStateName(static_cast<std::uint8_t>(event.b >> 8)));
+        appendCount(out, R"(,"info":)", event.value);
+        appendCount(out, R"(,"port":)", event.a);
+        appendCount(out, R"(,"slice":)", event.slice);
+        out += R"(,"to":)";
+        appendJsonString(
+            out, amStateName(static_cast<std::uint8_t>(event.b & 0xff)));
+        break;
+    case trace::EventKind::WatchdogTrip:
+        appendCount(out, R"({"cycle":)", event.time);
+        out += event.a != 0 ? R"(,"nested":true)" : R"(,"nested":false)";
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    case trace::EventKind::QueueBlock:
+    case trace::EventKind::QueueUnblock:
+        appendCount(out, R"({"cycle":)", event.time);
+        out += event.b != 0 ? R"(,"pop":true)" : R"(,"pop":false)";
+        appendCount(out, R"(,"port":)", event.a);
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    case trace::EventKind::InvocationStart:
+    case trace::EventKind::QmTimeout:
+    case trace::EventKind::DeadlockBreak:
+        appendCount(out, R"({"cycle":)", event.time);
+        appendCount(out, R"(,"slice":)", event.slice);
+        appendCount(out, R"(,"value":)", event.value);
+        break;
+    default:
+        appendCount(out, R"({"cycle":)", event.time);
+        appendCount(out, R"(,"port":)", event.a);
+        appendCount(out, R"(,"slice":)", event.slice);
+        break;
+    }
+    out += '}';
+}
+
 } // namespace
 
-Json
-perfettoTraceJson(const trace::EventTrace &trace)
+std::string
+perfettoTraceText(const trace::EventTrace &trace)
 {
-    Json events = Json::array();
+    const KindNames &kinds = kindNames();
+    const QuotedNames names(trace);
+
+    std::string out;
+    const Count retained = trace.recorded() - trace.dropped();
+    out.reserve(kEventBytes * (retained + trace.numTracks() +
+                               trace.queueNames().size() + 8));
+
+    // Sidecar block: exact counts (drop-proof) plus track/queue shape,
+    // so checkers need not re-derive anything from the event stream.
+    appendCount(out, R"({"commguard":{"dropped":)", trace.dropped());
+    out += R"(,"event_counts":{)";
+    for (std::size_t k = 0; k < trace::numEventKinds; ++k) {
+        const trace::EventKind kind = kinds.keyOrder[k];
+        if (k > 0)
+            out += ',';
+        out += kinds.quoted[static_cast<std::size_t>(kind)];
+        appendCount(out, ":", trace.count(kind));
+    }
+    out += R"(},"queues":[)";
+    for (std::size_t q = 0; q < names.queues.size(); ++q) {
+        if (q > 0)
+            out += ',';
+        out += names.queues[q];
+    }
+    appendCount(out, R"(],"recorded":)", trace.recorded());
+    appendCount(out, R"(,"schema_version":)",
+                static_cast<Count>(metrics::kSchemaVersion));
+    out += R"(,"tracks":[)";
+    for (std::size_t i = 0; i < trace.numTracks(); ++i) {
+        appendCount(out, i > 0 ? R"(,{"dropped":)" : R"({"dropped":)",
+                    trace.track(i).dropped());
+        out += R"(,"name":)";
+        out += names.tracks[i];
+        appendCount(out, R"(,"recorded":)", trace.track(i).recorded());
+        out += '}';
+    }
+    out += R"(]},"displayTimeUnit":"ms","traceEvents":[)";
 
     // Metadata: one process, one named thread per track.
-    {
-        Json meta = Json::object();
-        meta["name"] = "process_name";
-        meta["ph"] = "M";
-        meta["pid"] = 1;
-        Json args = Json::object();
-        args["name"] = "commguard";
-        meta["args"] = args;
-        events.push(meta);
-    }
+    out += R"({"args":{"name":"commguard"},"name":"process_name",)"
+           R"("ph":"M","pid":1})";
     for (std::size_t i = 0; i < trace.numTracks(); ++i) {
-        Json meta = Json::object();
-        meta["name"] = "thread_name";
-        meta["ph"] = "M";
-        meta["pid"] = 1;
-        meta["tid"] = static_cast<Count>(i + 1);
-        Json args = Json::object();
-        args["name"] = trace.track(i).name();
-        meta["args"] = args;
-        events.push(meta);
+        out += R"(,{"args":{"name":)";
+        out += names.tracks[i];
+        appendCount(out,
+                    R"(},"name":"thread_name","ph":"M","pid":1,"tid":)",
+                    i + 1);
+        out += '}';
     }
 
     for (std::size_t i = 0; i < trace.numTracks(); ++i) {
@@ -120,107 +311,36 @@ perfettoTraceJson(const trace::EventTrace &trace)
             if (event.kind == trace::EventKind::QueueDepth) {
                 // Queue depths render as Perfetto counter tracks, not
                 // instants: one series per queue.
-                Json counter = Json::object();
-                counter["name"] = "queue:" + queueName(trace, event.b);
-                counter["ph"] = "C";
-                counter["ts"] = event.seq;
-                counter["pid"] = 1;
-                counter["tid"] = static_cast<Count>(i + 1);
-                Json args = Json::object();
-                args["depth"] = static_cast<Count>(event.value);
-                counter["args"] = args;
-                events.push(counter);
-                continue;
+                appendCount(out, R"(,{"args":{"depth":)", event.value);
+                out += R"(},"name":)";
+                names.appendQueue(out, event.b, true);
+                out += R"(,"ph":"C","pid":1)";
+            } else {
+                // Global seq is the only clock comparable across
+                // tracks; the core's cycle stamp rides in args.
+                out += R"(,{"args":)";
+                appendInstantArgs(out, event, names);
+                out += R"(,"name":)";
+                out += kinds.quoted[static_cast<std::size_t>(event.kind)];
+                out += R"(,"ph":"i","pid":1,"s":"t")";
             }
-
-            Json instant = Json::object();
-            instant["name"] = trace::eventKindName(event.kind);
-            instant["ph"] = "i";
-            instant["s"] = "t";
-            // Global seq is the only clock comparable across tracks;
-            // the core's cycle stamp rides in args.
-            instant["ts"] = event.seq;
-            instant["pid"] = 1;
-            instant["tid"] = static_cast<Count>(i + 1);
-
-            Json args = Json::object();
-            args["cycle"] = event.time;
-            args["slice"] = event.slice;
-            switch (event.kind) {
-            case trace::EventKind::ErrorInjected:
-                args["reg"] = static_cast<Count>(event.a);
-                args["bit"] = static_cast<Count>(event.b);
-                break;
-            case trace::EventKind::QueueCorrupt:
-                args["queue"] = queueName(trace, event.b);
-                break;
-            case trace::EventKind::HeaderInsert:
-                args["port"] = static_cast<Count>(event.a);
-                args["queue"] = queueName(trace, event.b);
-                args["frame"] = static_cast<Count>(event.value);
-                break;
-            case trace::EventKind::AmTransition:
-                args["port"] = static_cast<Count>(event.a);
-                args["from"] = amStateName(
-                    static_cast<std::uint8_t>(event.b >> 8));
-                args["to"] = amStateName(
-                    static_cast<std::uint8_t>(event.b & 0xff));
-                args["info"] = static_cast<Count>(event.value);
-                break;
-            case trace::EventKind::WatchdogTrip:
-                args["nested"] = event.a != 0;
-                break;
-            case trace::EventKind::QueueBlock:
-            case trace::EventKind::QueueUnblock:
-                args["port"] = static_cast<Count>(event.a);
-                args["pop"] = event.b != 0;
-                break;
-            case trace::EventKind::InvocationStart:
-            case trace::EventKind::QmTimeout:
-            case trace::EventKind::DeadlockBreak:
-                args["value"] = static_cast<Count>(event.value);
-                break;
-            default:
-                args["port"] = static_cast<Count>(event.a);
-                break;
-            }
-            instant["args"] = args;
-            events.push(instant);
+            appendCount(out, R"(,"tid":)", i + 1);
+            appendCount(out, R"(,"ts":)", event.seq);
+            out += '}';
         }
     }
+    out += "]}";
+    return out;
+}
 
-    // Sidecar block: exact counts (drop-proof) plus track/queue shape,
-    // so checkers need not re-derive anything from the event stream.
-    Json counts = Json::object();
-    for (std::size_t k = 0; k < trace::numEventKinds; ++k) {
-        const auto kind = static_cast<trace::EventKind>(k);
-        counts[trace::eventKindName(kind)] = trace.count(kind);
-    }
-    Json tracks = Json::array();
-    for (std::size_t i = 0; i < trace.numTracks(); ++i) {
-        Json entry = Json::object();
-        entry["name"] = trace.track(i).name();
-        entry["recorded"] = trace.track(i).recorded();
-        entry["dropped"] = trace.track(i).dropped();
-        tracks.push(entry);
-    }
-    Json queues = Json::array();
-    for (const std::string &name : trace.queueNames())
-        queues.push(name);
-
-    Json sidecar = Json::object();
-    sidecar["schema_version"] = metrics::kSchemaVersion;
-    sidecar["event_counts"] = counts;
-    sidecar["recorded"] = trace.recorded();
-    sidecar["dropped"] = trace.dropped();
-    sidecar["tracks"] = tracks;
-    sidecar["queues"] = queues;
-
-    Json doc = Json::object();
-    doc["traceEvents"] = events;
-    doc["displayTimeUnit"] = "ms";
-    doc["commguard"] = sidecar;
-    return doc;
+Json
+perfettoTraceJson(const trace::EventTrace &trace)
+{
+    Json document;
+    std::string error;
+    if (!Json::parse(perfettoTraceText(trace), document, &error))
+        panic("trace_export: streamed trace does not parse: " + error);
+    return document;
 }
 
 Json
@@ -529,18 +649,6 @@ checkPerfettoTrace(const std::string &text)
                              "' missing from event_counts");
     }
     return errors;
-}
-
-void
-writeTraceFile(const std::string &path, const trace::EventTrace &trace)
-{
-    std::ofstream out(path);
-    if (!out) {
-        warn("trace_export: cannot open " + path + " for writing");
-        return;
-    }
-    perfettoTraceJson(trace).write(out);
-    out << '\n';
 }
 
 void

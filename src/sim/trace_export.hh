@@ -5,14 +5,17 @@
  *
  * Three consumers of one trace::EventTrace:
  *
- *  - perfettoTraceJson(): a Chrome trace-event document (one instant-
+ *  - perfettoTraceText(): a Chrome trace-event document (one instant-
  *    event thread per track, counter tracks for queue depths) loadable
  *    directly in ui.perfetto.dev or chrome://tracing. Timestamps are
  *    the global seq numbers (per-core cycle clocks are not comparable
  *    across cores); the real cycle and slice stamps ride in each
  *    event's args. Exact per-kind counts — including events the
  *    bounded rings had to drop — are embedded under the top-level
- *    "commguard" object.
+ *    "commguard" object. The text is streamed straight from each
+ *    track's events in the canonical form Json::dump() gives (sorted
+ *    keys), with no document tree in between; perfettoTraceJson() is
+ *    its parsed view.
  *
  *  - forensicsJson(): joins each injected error (register flip or
  *    software-queue corruption) to its first downstream AM repair and
@@ -45,7 +48,13 @@
 namespace commguard::sim
 {
 
-/** Chrome/Perfetto trace-event document for @p trace. */
+/**
+ * Chrome/Perfetto trace-event document for @p trace as canonical JSON
+ * text: byte-identical to Json::dump() of the same document.
+ */
+std::string perfettoTraceText(const trace::EventTrace &trace);
+
+/** Json::parse(perfettoTraceText(trace)), for readers of the tree. */
 Json perfettoTraceJson(const trace::EventTrace &trace);
 
 /**
@@ -75,15 +84,11 @@ SchemaErrors forensicsErrors(const Json &forensics);
  */
 SchemaErrors checkPerfettoTrace(const std::string &text);
 
-/** Write perfettoTraceJson(trace) to @p path (warn on I/O failure). */
-void writeTraceFile(const std::string &path,
-                    const trace::EventTrace &trace);
-
 /**
- * Write an already-serialized trace document (sweep hot path: workers
- * dump() the Perfetto JSON off the main thread, the barrier just does
- * file I/O). @p serialized must be perfettoTraceJson(...).dump(),
- * which is byte-identical to what the EventTrace overload writes.
+ * Write a serialized trace document and a newline to @p path (warn on
+ * I/O failure). Sweep workers stream @p serialized with
+ * perfettoTraceText() off the main thread; the barrier just does file
+ * I/O.
  */
 void writeTraceFile(const std::string &path,
                     const std::string &serialized);

@@ -2,8 +2,9 @@
  * @file
  * Tests for the frame-lifecycle event tracer (docs/TRACING.md): ring
  * buffer wrap/drop accounting, event/counter conservation on traced
- * runs, the Perfetto export shape, the per-error realignment
- * forensics, and the CG_TRACE_* environment knob validation.
+ * runs, the Perfetto export shape, the streamed Perfetto text against
+ * a Json-tree reference writer, the per-error realignment forensics,
+ * and the CG_TRACE_* environment knob validation.
  */
 
 #include <gtest/gtest.h>
@@ -19,6 +20,7 @@
 #include "queue/queue_word.hh"
 #include "sim/experiment_config.hh"
 #include "sim/env_options.hh"
+#include "sim/protection.hh"
 #include "sim/run_export.hh"
 #include "sim/trace_export.hh"
 
@@ -248,6 +250,248 @@ TEST(PerfettoExport, DocumentShapeAndExactSidecarCounts)
     // One named thread per track (machine + one per core).
     EXPECT_EQ(thread_names.size(), tr.numTracks());
     EXPECT_TRUE(thread_names.count("machine"));
+}
+
+// ---------------------------------------------------------------------
+// Streamed Perfetto text against a Json-tree reference writer.
+// ---------------------------------------------------------------------
+
+const char *
+referenceAmStateName(std::uint8_t state)
+{
+    static const char *const names[] = {"RcvCmp", "ExpHdr", "DiscFr",
+                                        "Disc", "Pdg"};
+    if (state < 5)
+        return names[state];
+    return "?";
+}
+
+std::string
+referenceQueueName(const trace::EventTrace &trace, std::uint16_t id)
+{
+    if (id < trace.queueNames().size())
+        return trace.queueNames()[id];
+    return "queue" + std::to_string(id);
+}
+
+/**
+ * The trace document built as a Json tree, one object per event: the
+ * straightforward writer perfettoTraceText() must match byte for byte
+ * once dumped.
+ */
+Json
+referencePerfettoJson(const trace::EventTrace &trace)
+{
+    Json events = Json::array();
+
+    // Metadata: one process, one named thread per track.
+    {
+        Json meta = Json::object();
+        meta["name"] = "process_name";
+        meta["ph"] = "M";
+        meta["pid"] = 1;
+        Json args = Json::object();
+        args["name"] = "commguard";
+        meta["args"] = args;
+        events.push(meta);
+    }
+    for (std::size_t i = 0; i < trace.numTracks(); ++i) {
+        Json meta = Json::object();
+        meta["name"] = "thread_name";
+        meta["ph"] = "M";
+        meta["pid"] = 1;
+        meta["tid"] = static_cast<Count>(i + 1);
+        Json args = Json::object();
+        args["name"] = trace.track(i).name();
+        meta["args"] = args;
+        events.push(meta);
+    }
+
+    for (std::size_t i = 0; i < trace.numTracks(); ++i) {
+        for (const trace::Event &event : trace.track(i).events()) {
+            if (event.kind == trace::EventKind::QueueDepth) {
+                Json counter = Json::object();
+                counter["name"] =
+                    "queue:" + referenceQueueName(trace, event.b);
+                counter["ph"] = "C";
+                counter["ts"] = event.seq;
+                counter["pid"] = 1;
+                counter["tid"] = static_cast<Count>(i + 1);
+                Json args = Json::object();
+                args["depth"] = static_cast<Count>(event.value);
+                counter["args"] = args;
+                events.push(counter);
+                continue;
+            }
+
+            Json instant = Json::object();
+            instant["name"] = trace::eventKindName(event.kind);
+            instant["ph"] = "i";
+            instant["s"] = "t";
+            instant["ts"] = event.seq;
+            instant["pid"] = 1;
+            instant["tid"] = static_cast<Count>(i + 1);
+
+            Json args = Json::object();
+            args["cycle"] = event.time;
+            args["slice"] = event.slice;
+            switch (event.kind) {
+            case trace::EventKind::ErrorInjected:
+                args["reg"] = static_cast<Count>(event.a);
+                args["bit"] = static_cast<Count>(event.b);
+                break;
+            case trace::EventKind::QueueCorrupt:
+                args["queue"] = referenceQueueName(trace, event.b);
+                break;
+            case trace::EventKind::HeaderInsert:
+                args["port"] = static_cast<Count>(event.a);
+                args["queue"] = referenceQueueName(trace, event.b);
+                args["frame"] = static_cast<Count>(event.value);
+                break;
+            case trace::EventKind::AmTransition:
+                args["port"] = static_cast<Count>(event.a);
+                args["from"] = referenceAmStateName(
+                    static_cast<std::uint8_t>(event.b >> 8));
+                args["to"] = referenceAmStateName(
+                    static_cast<std::uint8_t>(event.b & 0xff));
+                args["info"] = static_cast<Count>(event.value);
+                break;
+            case trace::EventKind::WatchdogTrip:
+                args["nested"] = event.a != 0;
+                break;
+            case trace::EventKind::QueueBlock:
+            case trace::EventKind::QueueUnblock:
+                args["port"] = static_cast<Count>(event.a);
+                args["pop"] = event.b != 0;
+                break;
+            case trace::EventKind::InvocationStart:
+            case trace::EventKind::QmTimeout:
+            case trace::EventKind::DeadlockBreak:
+                args["value"] = static_cast<Count>(event.value);
+                break;
+            default:
+                args["port"] = static_cast<Count>(event.a);
+                break;
+            }
+            instant["args"] = args;
+            events.push(instant);
+        }
+    }
+
+    Json counts = Json::object();
+    for (std::size_t k = 0; k < trace::numEventKinds; ++k) {
+        const auto kind = static_cast<trace::EventKind>(k);
+        counts[trace::eventKindName(kind)] = trace.count(kind);
+    }
+    Json tracks = Json::array();
+    for (std::size_t i = 0; i < trace.numTracks(); ++i) {
+        Json entry = Json::object();
+        entry["name"] = trace.track(i).name();
+        entry["recorded"] = trace.track(i).recorded();
+        entry["dropped"] = trace.track(i).dropped();
+        tracks.push(entry);
+    }
+    Json queues = Json::array();
+    for (const std::string &name : trace.queueNames())
+        queues.push(name);
+
+    Json sidecar = Json::object();
+    sidecar["schema_version"] = metrics::kSchemaVersion;
+    sidecar["event_counts"] = counts;
+    sidecar["recorded"] = trace.recorded();
+    sidecar["dropped"] = trace.dropped();
+    sidecar["tracks"] = tracks;
+    sidecar["queues"] = queues;
+
+    Json doc = Json::object();
+    doc["traceEvents"] = events;
+    doc["displayTimeUnit"] = "ms";
+    doc["commguard"] = sidecar;
+    return doc;
+}
+
+/** The streamed text equals the reference, parses back, validates. */
+void
+expectTextMatchesReference(const trace::EventTrace &trace)
+{
+    const std::string text = perfettoTraceText(trace);
+    EXPECT_EQ(text, referencePerfettoJson(trace).dump());
+
+    Json parsed;
+    std::string error;
+    ASSERT_TRUE(Json::parse(text, parsed, &error)) << error;
+    EXPECT_EQ(parsed.dump(), text);
+    EXPECT_EQ(perfettoTraceJson(trace), parsed);
+
+    const SchemaErrors errors = checkPerfettoTrace(text);
+    EXPECT_TRUE(errors.empty()) << "first error: " << errors.front();
+}
+
+TEST(PerfettoText, MatchesReferenceOnInjectedRunOfEveryMode)
+{
+    // Small enough to keep the tree reference fast; errors land in
+    // every mode, and CommGuard pads and discards.
+    const apps::App app = apps::makeFftApp(4);
+    for (const protection::ProtectionMode mode :
+         protection::ProtectionRegistry::instance().modes()) {
+        SCOPED_TRACE(protection::protectionModeName(mode));
+        const RunOutcome outcome = ExperimentConfig::app(app)
+                                       .mode(mode)
+                                       .mtbe(8'000)
+                                       .seedIndex(0)
+                                       .traceEvents(true)
+                                       .run();
+        ASSERT_NE(outcome.eventTrace, nullptr);
+        EXPECT_GT(
+            outcome.eventTrace->count(trace::EventKind::ErrorInjected), 0u);
+        expectTextMatchesReference(*outcome.eventTrace);
+    }
+}
+
+TEST(PerfettoText, MatchesReferenceOnEveryKindAndAwkwardName)
+{
+    // A tiny ring so the flood track wraps; every kind recorded on a
+    // track whose rings keep them all; names that need escaping, an
+    // unregistered queue id and AM state codes past the known five.
+    trace::EventTrace tr(32);
+    trace::EventBuffer &core = tr.addTrack("core \"0\" \\ \x01\t");
+    trace::EventBuffer &flood = tr.addTrack("flood");
+    tr.addTrack("idle");
+    int queue_a = 0, queue_b = 0;
+    const std::uint16_t qa = tr.registerQueue(&queue_a, "q\"a\\\x1f\n");
+    const std::uint16_t qb = tr.registerQueue(&queue_b, "edge_0_1");
+    const std::uint16_t unregistered = trace::EventTrace::unknownQueue;
+    const Cycle big = (Cycle{1} << 63) + 5;
+
+    tr.beginSlice(3);
+    for (std::size_t k = 0; k < trace::numEventKinds; ++k) {
+        const auto kind = static_cast<trace::EventKind>(k);
+        const auto a = static_cast<std::uint8_t>(k % 2);
+        tr.record(core, big + k, kind, a,
+                  static_cast<std::uint16_t>(k % 2 == 0 ? qa : qb),
+                  static_cast<Word>(0xffffffffu - k));
+    }
+    tr.beginSlice(4);
+    using trace::EventKind;
+    tr.record(core, 1, EventKind::QueueCorrupt, 0, unregistered);
+    tr.record(core, 2, EventKind::HeaderInsert, 3, unregistered, 9);
+    tr.record(core, 3, EventKind::QueueDepth, 0, unregistered, 4);
+    tr.record(core, 4, EventKind::AmTransition, 1, (5u << 8) | 0xffu, 7);
+    tr.record(core, 5, EventKind::AmTransition, 1, (2u << 8) | 0u, 8);
+    tr.record(core, 6, EventKind::WatchdogTrip, 1);
+    tr.record(core, 7, EventKind::QueueBlock, 2, 1);
+    for (int i = 0; i < 100; ++i)
+        tr.record(flood, static_cast<Cycle>(i), EventKind::QueuePush,
+                  static_cast<std::uint8_t>(i));
+
+    ASSERT_EQ(core.dropped(), 0u);
+    ASSERT_GT(tr.dropped(), 0u);
+    for (std::size_t k = 0; k < trace::numEventKinds; ++k)
+        ASSERT_GT(tr.count(static_cast<trace::EventKind>(k)), 0u);
+    expectTextMatchesReference(tr);
+
+    // And the degenerate trace: no tracks, no queues, no events.
+    expectTextMatchesReference(trace::EventTrace(4));
 }
 
 // ---------------------------------------------------------------------
