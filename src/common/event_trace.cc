@@ -59,54 +59,12 @@ isForensicEvent(EventKind kind, std::uint16_t packed_states)
     }
 }
 
-namespace
-{
-
-/** Append a ring's retained events in chronological (seq) order. */
-void
-appendChronological(std::vector<Event> &out,
-                    const std::vector<Event> &ring, std::size_t next,
-                    std::size_t capacity)
-{
-    if (ring.size() < capacity) {
-        out.insert(out.end(), ring.begin(), ring.end());
-        return;
-    }
-    // Full ring: `next` is the oldest slot.
-    out.insert(out.end(), ring.begin() + static_cast<long>(next),
-               ring.end());
-    out.insert(out.end(), ring.begin(),
-               ring.begin() + static_cast<long>(next));
-}
-
-} // namespace
-
 std::vector<Event>
 EventBuffer::events() const
 {
-    std::vector<Event> bulk;
-    bulk.reserve(_bulk.events.size());
-    appendChronological(bulk, _bulk.events, _bulk.next, _capacity);
-
-    std::vector<Event> forensic;
-    forensic.reserve(_forensic.events.size());
-    appendChronological(forensic, _forensic.events, _forensic.next,
-                        _capacity);
-
-    // Merge the two seq-sorted streams.
     std::vector<Event> out;
-    out.reserve(bulk.size() + forensic.size());
-    std::size_t b = 0, f = 0;
-    while (b < bulk.size() && f < forensic.size()) {
-        if (bulk[b].seq < forensic[f].seq)
-            out.push_back(bulk[b++]);
-        else
-            out.push_back(forensic[f++]);
-    }
-    out.insert(out.end(), bulk.begin() + static_cast<long>(b),
-               bulk.end());
-    out.insert(out.end(), forensic.begin() + static_cast<long>(f),
-               forensic.end());
+    out.reserve(_bulk.events.size() + _forensic.events.size());
+    forEachEvent([&](const Event &event) { out.push_back(event); });
     return out;
 }
 

@@ -123,6 +123,26 @@ class EventBuffer
     /** Retained events in chronological (seq) order (both rings). */
     std::vector<Event> events() const;
 
+    /**
+     * Call @p visit on each retained event in chronological (seq)
+     * order, merging the two rings in place: events() without its
+     * copies, for exporters that read every event once.
+     */
+    template <typename Visit>
+    void
+    forEachEvent(Visit &&visit) const
+    {
+        RingCursor bulk(_bulk, _capacity);
+        RingCursor forensic(_forensic, _capacity);
+        // One call site, so the compiler inlines the visitor.
+        while (!bulk.done() || !forensic.done()) {
+            const bool from_bulk =
+                forensic.done() ||
+                (!bulk.done() && bulk.peek().seq < forensic.peek().seq);
+            visit((from_bulk ? bulk : forensic).take());
+        }
+    }
+
     const std::string &name() const { return _name; }
     std::size_t capacity() const { return _capacity; }
 
@@ -166,6 +186,35 @@ class EventBuffer
 
         std::vector<Event> events;
         std::size_t next = 0;  //!< Oldest slot once full.
+    };
+
+    /** Walks one ring from its oldest retained event to its newest. */
+    class RingCursor
+    {
+      public:
+        RingCursor(const Ring &ring, std::size_t capacity)
+            : _events(ring.events),
+              _slot(ring.events.size() < capacity ? 0 : ring.next),
+              _left(ring.events.size())
+        {}
+
+        bool done() const { return _left == 0; }
+        const Event &peek() const { return _events[_slot]; }
+
+        const Event &
+        take()
+        {
+            const Event &event = _events[_slot];
+            if (++_slot == _events.size())
+                _slot = 0;
+            --_left;
+            return event;
+        }
+
+      private:
+        const std::vector<Event> &_events;
+        std::size_t _slot;
+        std::size_t _left;
     };
 
     std::string _name;

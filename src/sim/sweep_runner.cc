@@ -128,6 +128,15 @@ SweepRunner::runAll()
     // since the last batch.
     for (RunScratch &scratch : _scratches)
         scratch.beginBatch();
+    // Traced runs stream their documents into the last traced batch's
+    // buffers (_traceBuffers).
+    if (!want_traces)
+        _traceBuffers = {};
+    for (std::size_t p = 0; p < pending.size() && !_traceBuffers.empty();
+         ++p) {
+        runs[pending[p]].traceDoc = std::move(_traceBuffers.back());
+        _traceBuffers.pop_back();
+    }
 
     // Pending runs execute in place: runs[i] depends only on
     // batch[i], never on which worker or scratch served it. Telemetry
@@ -144,7 +153,8 @@ SweepRunner::runAll()
                 run.recordLine =
                     runRecordJson(descriptor, run.outcome).dump();
             if (want_traces && run.outcome.eventTrace != nullptr)
-                run.traceDoc = perfettoTraceText(*run.outcome.eventTrace);
+                appendPerfettoTrace(run.traceDoc,
+                                    *run.outcome.eventTrace);
             if (want_telemetry)
                 run.telemetryChunk = telemetryLines(
                     descriptor, run.outcome, telemetry_base + i);
@@ -218,6 +228,14 @@ SweepRunner::runAll()
                     std::to_string(batch[i].options.seed) + ".json";
                 writeTraceFile(path, runs[i].traceDoc);
             }
+        }
+        // Buffers a smaller batch left unused are freed here.
+        _traceBuffers.clear();
+        for (ExecutedRun &run : runs) {
+            if (run.traceDoc.empty())
+                continue;
+            run.traceDoc.clear();
+            _traceBuffers.push_back(std::move(run.traceDoc));
         }
     }
     return outcomes;

@@ -17,12 +17,13 @@
  * lives in per-run seeded RNGs and the engine only decides *when* a
  * run executes, never what it computes. Export artifacts (CG_JSONL
  * lines from runRecordJson(), Perfetto trace documents streamed by
- * perfettoTraceText()) are *serialized* on the worker that ran the run
- * and *written* after the batch in submission order, so file bytes
+ * appendPerfettoTrace()) are *serialized* on the worker that ran the
+ * run and *written* after the batch in submission order, so file bytes
  * carry the same independence.
  *
  * Ownership: a SweepRunner owns its pool for its whole lifetime (pool
- * workers and run scratches are reused across runAll() calls);
+ * workers, run scratches and trace buffers are reused across runAll()
+ * calls);
  * descriptors reference apps::App objects that must outlive runAll().
  */
 
@@ -33,6 +34,7 @@
 #include <cstddef>
 #include <functional>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -142,6 +144,14 @@ class SweepRunner
      * long as the runner so recycled buffers survive across batches.
      */
     std::vector<RunScratch> _scratches;
+
+    /**
+     * The last traced batch's trace documents, cleared after their
+     * files are written. The next traced batch streams its documents
+     * into them, so a traced sweep does not fault in fresh pages for
+     * every trace; an untraced batch frees them.
+     */
+    std::vector<std::string> _traceBuffers;
 
     Caching _caching = Caching::Auto;
     std::vector<RunDescriptor> _queued;

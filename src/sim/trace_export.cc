@@ -31,7 +31,7 @@ constexpr std::uint8_t kAmRcvCmp = 0;
 constexpr std::uint8_t kAmPdg = 4;
 
 /**
- * perfettoTraceText's reserve per retained event; one instant with its
+ * appendPerfettoTrace's reserve per retained event; one instant with its
  * args takes about 100-120 bytes. Each track, queue and the sidecar's
  * fixed members are budgeted as about one event each.
  */
@@ -75,9 +75,10 @@ mergedEvents(const trace::EventTrace &trace)
 {
     std::vector<TaggedEvent> merged;
     for (std::size_t i = 0; i < trace.numTracks(); ++i)
-        for (const trace::Event &event : trace.track(i).events())
+        trace.track(i).forEachEvent([&](const trace::Event &event) {
             if (joinedByForensics(event.kind))
                 merged.push_back({event, i});
+        });
     std::sort(merged.begin(), merged.end(),
               [](const TaggedEvent &a, const TaggedEvent &b) {
                   return a.event.seq < b.event.seq;
@@ -252,15 +253,15 @@ appendInstantArgs(std::string &out, const trace::Event &event,
 
 } // namespace
 
-std::string
-perfettoTraceText(const trace::EventTrace &trace)
+void
+appendPerfettoTrace(std::string &out, const trace::EventTrace &trace)
 {
     const KindNames &kinds = kindNames();
     const QuotedNames names(trace);
 
-    std::string out;
     const Count retained = trace.recorded() - trace.dropped();
-    out.reserve(kEventBytes * (retained + trace.numTracks() +
+    out.reserve(out.size() +
+                kEventBytes * (retained + trace.numTracks() +
                                trace.queueNames().size() + 8));
 
     // Sidecar block: exact counts (drop-proof) plus track/queue shape,
@@ -307,7 +308,7 @@ perfettoTraceText(const trace::EventTrace &trace)
     }
 
     for (std::size_t i = 0; i < trace.numTracks(); ++i) {
-        for (const trace::Event &event : trace.track(i).events()) {
+        trace.track(i).forEachEvent([&](const trace::Event &event) {
             if (event.kind == trace::EventKind::QueueDepth) {
                 // Queue depths render as Perfetto counter tracks, not
                 // instants: one series per queue.
@@ -327,9 +328,16 @@ perfettoTraceText(const trace::EventTrace &trace)
             appendCount(out, R"(,"tid":)", i + 1);
             appendCount(out, R"(,"ts":)", event.seq);
             out += '}';
-        }
+        });
     }
     out += "]}";
+}
+
+std::string
+perfettoTraceText(const trace::EventTrace &trace)
+{
+    std::string out;
+    appendPerfettoTrace(out, trace);
     return out;
 }
 

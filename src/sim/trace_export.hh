@@ -54,6 +54,13 @@ namespace commguard::sim
  */
 std::string perfettoTraceText(const trace::EventTrace &trace);
 
+/**
+ * Append perfettoTraceText(trace) to @p out. A cleared buffer keeps
+ * its capacity, so a caller that writes trace after trace into the
+ * same buffers reuses their pages instead of faulting in new ones.
+ */
+void appendPerfettoTrace(std::string &out, const trace::EventTrace &trace);
+
 /** Json::parse(perfettoTraceText(trace)), for readers of the tree. */
 Json perfettoTraceJson(const trace::EventTrace &trace);
 
@@ -87,8 +94,8 @@ SchemaErrors checkPerfettoTrace(const std::string &text);
 /**
  * Write a serialized trace document and a newline to @p path (warn on
  * I/O failure). Sweep workers stream @p serialized with
- * perfettoTraceText() off the main thread; the barrier just does file
- * I/O.
+ * appendPerfettoTrace() off the main thread; the barrier just does
+ * file I/O.
  */
 void writeTraceFile(const std::string &path,
                     const std::string &serialized);

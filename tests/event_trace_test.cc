@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <set>
 #include <string>
@@ -95,6 +96,40 @@ TEST(EventBuffer, ForensicEventsSurviveBulkFloods)
                                        (0u << 8) | 2u)); // -> DiscFr
     EXPECT_FALSE(trace::isForensicEvent(trace::EventKind::AmTransition,
                                         (0u << 8) | 1u)); // -> ExpHdr
+}
+
+TEST(EventBuffer, ForEachEventMergesTwoWrappedRingsInSeqOrder)
+{
+    trace::EventTrace tr(4);
+    trace::EventBuffer &track = tr.addTrack("t0");
+
+    // Both rings wrap, at different slots: 7 forensic pads and 10
+    // bulk pushes, interleaved unevenly.
+    std::vector<Count> pads, pushes;
+    for (int i = 0; i < 17; ++i) {
+        const bool pad = i % 5 == 1 || i % 5 == 3;
+        (pad ? pads : pushes).push_back(static_cast<Count>(i));
+        tr.record(track, static_cast<Cycle>(i),
+                  pad ? trace::EventKind::AmPad
+                      : trace::EventKind::QueuePush);
+    }
+    ASSERT_EQ(pads.size(), 7u);
+
+    // Each ring keeps its newest four; the visit merges them by seq.
+    std::vector<Count> expected(pads.end() - 4, pads.end());
+    expected.insert(expected.end(), pushes.end() - 4, pushes.end());
+    std::sort(expected.begin(), expected.end());
+
+    std::vector<Count> visited;
+    track.forEachEvent(
+        [&](const trace::Event &event) { visited.push_back(event.seq); });
+    EXPECT_EQ(visited, expected);
+    EXPECT_EQ(track.dropped(), 17u - 8u);
+
+    std::vector<Count> copied;
+    for (const trace::Event &event : track.events())
+        copied.push_back(event.seq);
+    EXPECT_EQ(copied, expected);
 }
 
 TEST(EventTrace, GlobalSequenceAndQueueRegistry)
@@ -446,6 +481,35 @@ TEST(PerfettoText, MatchesReferenceOnInjectedRunOfEveryMode)
             outcome.eventTrace->count(trace::EventKind::ErrorInjected), 0u);
         expectTextMatchesReference(*outcome.eventTrace);
     }
+}
+
+TEST(PerfettoText, AppendKeepsThePrefixAndAReusedBufferHoldsNoStaleBytes)
+{
+    const apps::App app = apps::makeFftApp(4);
+    const auto traced = [&](double mtbe) {
+        return ExperimentConfig::app(app)
+            .mode(protection::ProtectionMode::CommGuard)
+            .mtbe(mtbe)
+            .seedIndex(0)
+            .traceEvents(true)
+            .run();
+    };
+    const RunOutcome busy = traced(2'000);
+    const RunOutcome quiet = traced(1'000'000);
+    ASSERT_NE(busy.eventTrace, nullptr);
+    ASSERT_NE(quiet.eventTrace, nullptr);
+    const std::string busy_text = perfettoTraceText(*busy.eventTrace);
+    const std::string quiet_text = perfettoTraceText(*quiet.eventTrace);
+    ASSERT_GT(busy_text.size(), quiet_text.size());
+
+    std::string buffer = "prefix";
+    appendPerfettoTrace(buffer, *busy.eventTrace);
+    EXPECT_EQ(buffer, "prefix" + busy_text);
+
+    // A cleared buffer is how the sweep reuses the last batch's.
+    buffer.clear();
+    appendPerfettoTrace(buffer, *quiet.eventTrace);
+    EXPECT_EQ(buffer, quiet_text);
 }
 
 TEST(PerfettoText, MatchesReferenceOnEveryKindAndAwkwardName)
