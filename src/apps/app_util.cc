@@ -8,19 +8,6 @@
 namespace commguard::apps
 {
 
-namespace detail
-{
-
-std::string
-specJson(const std::string &factory, Json::Object params)
-{
-    Json spec(std::move(params));
-    spec["factory"] = Json(factory);
-    return spec.dump();
-}
-
-} // namespace detail
-
 media::Image
 jpegImageFromOutput(const std::vector<Word> &words, int width,
                     int height)

@@ -155,8 +155,6 @@ makeBeamformerApp(int samples)
 {
     App app;
     app.name = "audiobeamformer";
-    app.spec = detail::specJson("audiobeamformer",
-                                {{"samples", Json(samples)}});
 
     const std::vector<float> capture = makeSensorCapture(samples);
     auto reference = std::make_shared<std::vector<float>>(

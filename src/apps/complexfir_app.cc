@@ -166,8 +166,6 @@ makeComplexFirApp(int samples)
 {
     App app;
     app.name = "complex-fir";
-    app.spec = detail::specJson("complex-fir",
-                                {{"samples", Json(samples)}});
 
     const std::vector<float> input = makeComplexInput(samples);
     auto reference = std::make_shared<std::vector<float>>(

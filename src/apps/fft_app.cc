@@ -126,7 +126,6 @@ makeFftApp(int blocks)
 {
     App app;
     app.name = "fft";
-    app.spec = detail::specJson("fft", {{"blocks", Json(blocks)}});
 
     const std::vector<float> input = makeFftInput(blocks);
     auto reference =

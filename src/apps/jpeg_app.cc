@@ -18,10 +18,6 @@ makeJpegApp(int width, int height, int quality)
 {
     App app;
     app.name = "jpeg";
-    app.spec = detail::specJson(
-        "jpeg", {{"height", Json(height)},
-                 {"quality", Json(quality)},
-                 {"width", Json(width)}});
 
     auto original = std::make_shared<media::Image>(
         media::makeFlowerImage(width, height));

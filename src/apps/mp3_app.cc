@@ -19,7 +19,6 @@ makeMp3App(int samples)
 {
     App app;
     app.name = "mp3";
-    app.spec = detail::specJson("mp3", {{"samples", Json(samples)}});
 
     auto audio = std::make_shared<std::vector<float>>(
         media::makeMusicAudio(samples));

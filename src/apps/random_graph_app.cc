@@ -94,13 +94,6 @@ makeRandomGraphApp(std::uint64_t graph_seed,
 
     App app;
     app.name = "fuzz_" + std::to_string(graph_seed);
-    app.spec = detail::specJson(
-        "random-graph",
-        {{"allow_split_join", Json(options.allowSplitJoin)},
-         {"graph_seed", Json(Count{graph_seed})},
-         {"iterations", Json(iterations)},
-         {"max_granularity", Json(options.maxGranularity)},
-         {"stages", Json(options.stages)}});
     app.graph = randomStreamGraph(rng, options);
     app.steadyIterations = iterations;
 

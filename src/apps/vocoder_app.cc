@@ -135,8 +135,6 @@ makeChannelVocoderApp(int samples)
 {
     App app;
     app.name = "channelvocoder";
-    app.spec = detail::specJson("channelvocoder",
-                                {{"samples", Json(samples)}});
 
     const std::vector<float> input = media::makeMusicAudio(samples);
     auto reference =

@@ -397,7 +397,7 @@ Json::dump() const
 bool
 Json::parse(const std::string &text, Json &out, std::string *error)
 {
-    Parser parser{text};
+    Parser parser{text, 0, {}};
     if (!parser.parseValue(out)) {
         if (error)
             *error = parser.error;

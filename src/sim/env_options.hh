@@ -50,15 +50,9 @@
  * that is not a known knob, so typos like CG_TELEMTRY_OUT die at
  * startup instead of silently no-opping. Tools with their own knobs
  * register them via allowEnvKey() before the first parse:
- * cg_fuzz's CG_FUZZ_BUDGET, and the result-cache directory both tools
- * accept (docs/RESULT_CACHE.md) —
- *   CG_CACHE_DIR  dir,  default unset  result-cache directory;
- *                                      cg_bench probes writability
- *                                      up front and exits 2 on an
- *                                      unusable path (cg_fuzz never
- *                                      consults the cache)
- * and cg_bench's two service-mode knobs (docs/SERVICE.md), honored by
- * `cg_bench serve-run` as defaults its flags override —
+ * cg_fuzz's CG_FUZZ_BUDGET, and cg_bench's two service-mode knobs
+ * (docs/SERVICE.md), honored by `cg_bench serve-run` as defaults its
+ * flags override —
  *   CG_SERVICE_FRAMES          int  total frames to stream
  *   CG_SERVICE_SNAPSHOT_FRAMES int  snapshot record cadence (frames)
  */

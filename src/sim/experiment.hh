@@ -179,27 +179,6 @@ struct RunDescriptor
 };
 
 /**
- * Everything one executed run hands back to the sweep engine. The
- * string artifacts are serialized on the worker that ran the run, so
- * the post-batch barrier only concatenates; empty strings mean the
- * artifact was not requested (or the run produced none, e.g. an
- * untraced run has no trace document).
- */
-struct ExecutedRun
-{
-    RunOutcome outcome;
-
-    /** runRecordJson(descriptor, outcome).dump() (one JSONL line). */
-    std::string recordLine;
-
-    /** perfettoTraceText(...) for traced runs. */
-    std::string traceDoc;
-
-    /** telemetryLines(...) chunk for telemetry-sampled runs. */
-    std::string telemetryChunk;
-};
-
-/**
  * Reusable per-worker run state (sweep hot path). Wraps the loader's
  * scratch; one per worker thread, never shared. Call beginBatch() at
  * the start of each batch of runs (it invalidates caches keyed by

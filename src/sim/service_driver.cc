@@ -163,7 +163,7 @@ ServiceDriver::run()
     {
         Json per_core = Json::array();
         for (double m : slot_mtbe)
-            per_core.push(Json(m));
+            per_core.arr().emplace_back(m);
         Json events = Json::array();
         for (const ServiceEvent &event : _config.events) {
             Json e = Json::object();

@@ -9,7 +9,6 @@
 
 #include "common/logging.hh"
 #include "sim/env_options.hh"
-#include "sim/result_cache.hh"
 #include "sim/run_export.hh"
 #include "sim/telemetry_export.hh"
 #include "sim/trace_export.hh"
@@ -32,6 +31,27 @@ monotonicSeconds()
 /** Silence threshold before the default printer starts reporting. */
 constexpr double progressQuietSeconds = 2.0;
 
+/**
+ * Everything one executed run hands back to runAll(). The string
+ * artifacts are serialized on the worker that ran the run, so the
+ * post-batch barrier only concatenates; empty strings mean the
+ * artifact was not requested (or the run produced none, e.g. an
+ * untraced run has no trace document).
+ */
+struct ExecutedRun
+{
+    RunOutcome outcome;
+
+    /** runRecordJson(descriptor, outcome).dump() (one JSONL line). */
+    std::string recordLine;
+
+    /** perfettoTraceText(...) for traced runs. */
+    std::string traceDoc;
+
+    /** telemetryLines(...) chunk for telemetry-sampled runs. */
+    std::string telemetryChunk;
+};
+
 } // namespace
 
 streamit::LoadOptions
@@ -48,9 +68,9 @@ sweepOptions(protection::ProtectionMode mode, bool inject_errors,
     return options;
 }
 
-SweepRunner::SweepRunner(unsigned jobs, Caching caching)
+SweepRunner::SweepRunner(unsigned jobs, Caching)
     : _pool(jobs == 0 ? ThreadPool::defaultJobs() : jobs),
-      _scratches(_pool.jobs()), _caching(caching)
+      _scratches(_pool.jobs())
 {
 }
 
@@ -87,17 +107,6 @@ SweepRunner::runAll()
     const bool want_telemetry =
         env.telemetrySlices > 0 && !env.telemetryOut.empty();
 
-    // Cached entries carry no trace or telemetry artifacts, so any
-    // env-level observability request disables the cache for the
-    // whole batch (runOnce() applies those knobs to every run).
-    ResultCache *cache =
-        (_caching == Caching::Auto && !env.traceEvents &&
-         env.telemetrySlices == 0)
-            ? ResultCache::process()
-            : nullptr;
-
-    const bool want_records = want_jsonl || cache != nullptr;
-
     // Stream-wide run index base, taken on the submitting thread:
     // batch composition never depends on the job count, so run_index
     // assignment (and with it the stream's bytes) stays deterministic.
@@ -107,21 +116,6 @@ SweepRunner::runAll()
                              batch.size(), std::memory_order_relaxed)
                        : 0;
 
-    // Cache replay pass: hits fill their submission-order slot
-    // directly (the stored recordLine is the very dump() a fresh run
-    // would produce, so downstream bytes cannot tell the difference);
-    // misses are left pending for the pool.
-    std::vector<ExecutedRun> runs(batch.size());
-    std::vector<std::size_t> pending;
-    pending.reserve(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-        if (cache != nullptr && runCacheable(batch[i]) &&
-            cache->lookup(batch[i], &runs[i]))
-            finishRun(batch[i], runs[i].outcome);
-        else
-            pending.push_back(i);
-    }
-
     // One scratch per pool job slot, reused batch over batch (the
     // freelists inside keep the big per-run buffers warm). beginBatch
     // drops caches keyed by graph addresses that may have been reused
@@ -130,26 +124,25 @@ SweepRunner::runAll()
         scratch.beginBatch();
     // Traced runs stream their documents into the last traced batch's
     // buffers (_traceBuffers).
+    std::vector<ExecutedRun> runs(batch.size());
     if (!want_traces)
         _traceBuffers = {};
-    for (std::size_t p = 0; p < pending.size() && !_traceBuffers.empty();
-         ++p) {
-        runs[pending[p]].traceDoc = std::move(_traceBuffers.back());
+    for (std::size_t i = 0; i < runs.size() && !_traceBuffers.empty();
+         ++i) {
+        runs[i].traceDoc = std::move(_traceBuffers.back());
         _traceBuffers.pop_back();
     }
 
-    // Pending runs execute in place: runs[i] depends only on
-    // batch[i], never on which worker or scratch served it. Telemetry
-    // chunks are numbered by submission index (telemetry-on batches
-    // never consult the cache, so every index is pending).
+    // Runs execute in place: runs[i] depends only on batch[i], never
+    // on which worker or scratch served it. Telemetry chunks are
+    // numbered by submission index.
     _pool.submitBatch(
-        pending.size(), [&](unsigned worker, std::size_t p) {
-            const std::size_t i = pending[p];
+        batch.size(), [&](unsigned worker, std::size_t i) {
             const RunDescriptor &descriptor = batch[i];
             ExecutedRun &run = runs[i];
             run.outcome = runOnce(*descriptor.app, descriptor.options,
                                   &_scratches[worker]);
-            if (want_records)
+            if (want_jsonl)
                 run.recordLine =
                     runRecordJson(descriptor, run.outcome).dump();
             if (want_traces && run.outcome.eventTrace != nullptr)
@@ -162,12 +155,6 @@ SweepRunner::runAll()
         });
     _pool.wait();  // Rethrows the batch's first exception, if any.
 
-    if (cache != nullptr) {
-        for (std::size_t i : pending)
-            if (runCacheable(batch[i]))
-                cache->store(batch[i], runs[i]);
-    }
-
     // Results move out of their slots before the artifact writes so
     // the telemetry report sees the final outcome vector.
     std::vector<RunOutcome> outcomes;
@@ -176,8 +163,8 @@ SweepRunner::runAll()
         outcomes.push_back(std::move(run.outcome));
 
     // Per-run JSONL export (CG_JSONL=<path>): concatenated in
-    // submission order, so file content is independent of the
-    // backend, its job count, and the cache hit pattern.
+    // submission order, so file content is independent of the job
+    // count.
     if (want_jsonl && !batch.empty()) {
         std::vector<std::string> jsonl_lines;
         jsonl_lines.reserve(runs.size());

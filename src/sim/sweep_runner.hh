@@ -8,18 +8,18 @@
  * seeded RNGs, so runs share no mutable state. SweepRunner owns the
  * whole sweep — the queued descriptors, the ThreadPool that executes
  * them, one reusable RunScratch per pool job slot, submission-order
- * result collection, progress reporting and artifact writes — with an
- * optional content-addressed result cache in front
- * (sim/result_cache.hh, CG_CACHE_DIR).
+ * result collection, progress reporting and artifact writes. runAll()
+ * executes every queued descriptor: a run's result always comes from
+ * running it.
  *
  * Determinism guarantee: the outcome vector is bitwise identical for
- * any job count and cache hit/miss history, because all randomness
- * lives in per-run seeded RNGs and the engine only decides *when* a
- * run executes, never what it computes. Export artifacts (CG_JSONL
- * lines from runRecordJson(), Perfetto trace documents streamed by
- * appendPerfettoTrace()) are *serialized* on the worker that ran the
- * run and *written* after the batch in submission order, so file bytes
- * carry the same independence.
+ * any job count, because all randomness lives in per-run seeded RNGs
+ * and the engine only decides *when* a run executes, never what it
+ * computes. Export artifacts (CG_JSONL lines from runRecordJson(),
+ * Perfetto trace documents streamed by appendPerfettoTrace()) are
+ * *serialized* on the worker that ran the run and *written* after the
+ * batch in submission order, so file bytes carry the same
+ * independence.
  *
  * Ownership: a SweepRunner owns its pool for its whole lifetime (pool
  * workers, run scratches and trace buffers are reused across runAll()
@@ -59,21 +59,18 @@ class SweepRunner
 {
   public:
     /**
-     * Whether this runner may consult the CG_CACHE_DIR result cache.
-     * Off exists for callers whose point is to *execute* (timing
-     * measurements in micro_sweep_throughput, determinism comparisons
-     * in the fuzz harness): a replayed result would measure the cache,
-     * not the machine.
+     * A one-value remnant of the deleted result cache: perfbench/
+     * still passes Caching::Off, and the constructor ignores it. Once
+     * the benchmark drops that argument (ROADMAP.md, direction 1),
+     * this type goes too.
      */
     enum class Caching
     {
-        Auto,  //!< Use the process cache when CG_CACHE_DIR is set.
-        Off,   //!< Never look up or store, cache or not.
+        Off,
     };
 
     /** @param jobs Pool width; 0 means ThreadPool::defaultJobs(). */
-    explicit SweepRunner(unsigned jobs = 0,
-                         Caching caching = Caching::Auto);
+    explicit SweepRunner(unsigned jobs = 0, Caching = Caching::Off);
 
     /** Queue one run; returns its index in the outcome vector. */
     std::size_t enqueue(const apps::App &app,
@@ -120,8 +117,7 @@ class SweepRunner
      * (sim/telemetry_export.hh). Invoked under an internal mutex,
      * possibly from worker threads; it replaces the default stderr
      * progress printer. Install it before runAll(): the batch latches
-     * its presence at its start. Cache hits report through it too
-     * (from the submitting thread).
+     * its presence at its start.
      */
     using OutcomeObserver = std::function<void(
         std::size_t, std::size_t, const RunDescriptor &,
@@ -153,7 +149,6 @@ class SweepRunner
      */
     std::vector<std::string> _traceBuffers;
 
-    Caching _caching = Caching::Auto;
     std::vector<RunDescriptor> _queued;
 
     std::size_t _total = 0;

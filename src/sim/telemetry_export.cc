@@ -15,7 +15,6 @@
 #include "common/telemetry.hh"
 #include "sim/env_options.hh"
 #include "sim/protection.hh"
-#include "sim/result_cache.hh"
 #include "sim/run_export.hh"
 
 namespace commguard::sim
@@ -155,9 +154,9 @@ reportDataJson(ReportState &state)
             for (double v : values)
                 sum += v;
             Json point = Json::array();
-            point.push(Json(mtbe));
-            point.push(
-                Json(sum / static_cast<double>(values.size())));
+            point.arr().emplace_back(mtbe);
+            point.arr().emplace_back(
+                sum / static_cast<double>(values.size()));
             points.push(std::move(point));
         }
         quality[mode] = std::move(points);
@@ -171,11 +170,11 @@ reportDataJson(ReportState &state)
         Json blocked = Json::array();
         Json repairs = Json::array();
         for (double v : series.work)
-            work.push(Json(v));
+            work.arr().emplace_back(v);
         for (double v : series.blocked)
-            blocked.push(Json(v));
+            blocked.arr().emplace_back(v);
         for (double v : series.repairs)
-            repairs.push(Json(v));
+            repairs.arr().emplace_back(v);
         entry["work"] = std::move(work);
         entry["blocked"] = std::move(blocked);
         entry["repairs"] = std::move(repairs);
@@ -758,8 +757,8 @@ std::string
 formatRateEta(std::size_t done, std::size_t total,
               double elapsed_seconds)
 {
-    // A zero-done batch or an instant cache replay has no meaningful
-    // rate; rendering the division would print inf/garbage.
+    // A zero-done batch or a sub-millisecond elapsed window has no
+    // meaningful rate; rendering the division would print inf/garbage.
     constexpr double kMinElapsed = 1e-3;
     if (done == 0 || elapsed_seconds < kMinElapsed)
         return "--/s  eta --";
@@ -830,17 +829,6 @@ SweepHealthBoard::observe(std::size_t done, std::size_t total,
          << " idle "
          << delta(stats.idleWakeups, _batchBaseStats.idleWakeups)
          << " |";
-
-    // Cache traffic (docs/METRICS.md "cache/"): process-wide totals,
-    // shown only when the cache is on so plain sweeps keep the
-    // familiar line.
-    const ResultCacheStats &cache = ResultCache::stats();
-    if (ResultCache::process() != nullptr) {
-        text << " cache "
-             << cache.hits.load(std::memory_order_relaxed) << " hit "
-             << cache.misses.load(std::memory_order_relaxed)
-             << " miss |";
-    }
     for (const auto &[mode, entry] : _modes) {
         std::snprintf(buffer, sizeof buffer, " %s %.1f rep/run",
                       mode.c_str(),

@@ -86,8 +86,9 @@ void writeTelemetryReport(const std::string &path);
 /**
  * The health board's "rate / ETA" fragment, e.g. "12.3/s  eta 40s".
  * Degenerate inputs — no completions yet, an implausibly small elapsed
- * window (instant cache replays), or a non-finite rate — render as
- * "--/s  eta --" instead of inf/garbage. Exposed for tests.
+ * window (a run that finished within a millisecond of its batch's
+ * start), or a non-finite rate — render as "--/s  eta --" instead of
+ * inf/garbage. Exposed for tests.
  */
 std::string formatRateEta(std::size_t done, std::size_t total,
                           double elapsed_seconds);

@@ -106,8 +106,8 @@ distributionJson(const std::vector<Count> &samples)
     Json bins = Json::array();
     for (const auto &[value, count] : histogram) {
         Json bin = Json::array();
-        bin.push(value);
-        bin.push(count);
+        bin.arr().emplace_back(value);
+        bin.arr().emplace_back(count);
         bins.push(bin);
     }
     dist["histogram"] = bins;

@@ -56,8 +56,9 @@ TEST(EventBuffer, WrapKeepsExactCountsAndChronologicalOrder)
     for (std::size_t i = 0; i < events.size(); ++i) {
         // The oldest retained event is #12 of 20.
         EXPECT_EQ(events[i].seq, 12u + i);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_LT(events[i - 1].seq, events[i].seq);
+        }
     }
 }
 

@@ -12,7 +12,6 @@
 #include <stdexcept>
 
 #include "sim/experiment_config.hh"
-#include "sim/run_codec.hh"
 #include "sim/sweep_runner.hh"
 
 namespace commguard::sim
@@ -134,41 +133,6 @@ TEST_F(ExperimentConfigTest, SeedIndexMatchesSweepOptionsDerivation)
                 .options();
         EXPECT_EQ(viaBuilder.seed, viaSweep.seed) << "index " << index;
     }
-}
-
-TEST_F(ExperimentConfigTest, DescriptorJsonBytesAreGolden)
-{
-    // The canonical descriptor encoding is a stability contract: its
-    // bytes are the result-cache content address (src/sim/run_codec.hh).
-    // Any change to this string silently invalidates every existing
-    // cache entry — update it only deliberately, together with
-    // docs/RESULT_CACHE.md.
-    const RunDescriptor descriptor =
-        ExperimentConfig::app(_app)
-            .mode(protection::ProtectionMode::CommGuard)
-            .mtbe(128'000)
-            .seedIndex(2)
-            .frameScale(2)
-            .descriptor();
-    EXPECT_EQ(
-        descriptorJson(descriptor).dump(),
-        "{\"app\":\"fft\",\"app_spec\":{\"blocks\":16,\"factory\":"
-        "\"fft\"},\"flip_all_registers\":false,"
-        "\"frame_aligned_output\":false,\"frame_scale\":2,"
-        "\"guard_source_edge\":true,\"inject_errors\":true,"
-        "\"machine\":{\"global_watchdog_insts\":50000000000,"
-        "\"ppu\":{\"default_scope_budget\":1000000,"
-        "\"enforce_nested_scopes\":true,"
-        "\"max_scope_budget\":64000000,\"max_scope_depth\":8,"
-        "\"watchdog_multiplier\":2},"
-        "\"slice_instructions\":50000,\"timeout_rounds\":2000,"
-        "\"timing\":{\"frame_flush_cycles\":4,"
-        "\"mem_extra_cycles\":1,\"queue_op_cycles\":2}},"
-        "\"mtbe\":128000,\"per_core_mtbe\":[],"
-        "\"per_node_frame_scale\":[],"
-        "\"protection_mode\":\"commguard\","
-        "\"queue_capacity_words\":4096,\"replicas\":2,"
-        "\"seed\":3000009}");
 }
 
 TEST_F(ExperimentConfigTest, RunProducesACompleteSnapshot)

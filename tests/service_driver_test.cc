@@ -314,7 +314,6 @@ TEST(ServiceDriver, DuplicateFilterNamesCountEveryRepair)
     // count them.
     const apps::App base = apps::makeComplexFirApp(2048);
     apps::App app = base;
-    app.spec.clear();
     app.graph = streamit::StreamGraph();
     for (streamit::FilterSpec filter : base.graph.filters()) {
         filter.name = "F";

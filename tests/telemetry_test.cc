@@ -224,8 +224,9 @@ TEST(Telemetry, JsonRecordsCarrySchemaAndReconcileWithoutDrops)
 
 TEST(Telemetry, FormatRateEtaGuardsDegenerateBatches)
 {
-    // The health board's rate/eta cell: an untouched batch or an
-    // instant cache replay must render placeholders, never inf/nan.
+    // The health board's rate/eta cell: an untouched batch or a
+    // zero-length elapsed window must render placeholders, never
+    // inf/nan.
     EXPECT_EQ(sim::formatRateEta(0, 10, 5.0), "--/s  eta --");
     EXPECT_EQ(sim::formatRateEta(5, 10, 0.0), "--/s  eta --");
     EXPECT_EQ(sim::formatRateEta(0, 10, 0.0), "--/s  eta --");

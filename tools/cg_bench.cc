@@ -20,23 +20,19 @@
  * Behaviour knobs come from the environment, same as the rest of the
  * toolchain: CG_QUICK (thinned axes), CG_JOBS (sweep parallelism),
  * CG_CSV (CSV after each table), CG_JSON (BENCH_<name>.json files),
- * CG_JSONL (per-run records), CG_TRACE_EVENTS (Perfetto traces),
- * CG_CACHE_DIR (result cache directory, docs/RESULT_CACHE.md).
+ * CG_JSONL (per-run records), CG_TRACE_EVENTS (Perfetto traces).
  *
  * Fuzz repro bundles replay with `cg_fuzz replay` (docs/FUZZING.md).
  *
  * Exit codes: 0 success, 1 runtime failure (fatal() inside a scenario,
- * or a serve-run that did not complete), 2 usage error (unknown
- * subcommand, scenario or tag, a serve-run flag out of range, unusable
- * CG_CACHE_DIR).
+ * an unknown CG_* variable, or a serve-run that did not complete), 2
+ * usage error (unknown subcommand, scenario or tag, a serve-run flag
+ * out of range).
  */
-
-#include <unistd.h>
 
 #include <algorithm>
 #include <cstdlib>
 #include <cstring>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
 #include <limits>
@@ -95,8 +91,8 @@ usage(std::ostream &out, int code)
            "\n"
            "environment: CG_QUICK CG_JOBS CG_CSV CG_JSON CG_JSONL "
            "CG_MODE CG_TRACE_EVENTS CG_TELEMETRY_SLICES "
-           "CG_TELEMETRY_OUT CG_BOARD CG_CACHE_DIR "
-           "CG_SERVICE_FRAMES CG_SERVICE_SNAPSHOT_FRAMES\n";
+           "CG_TELEMETRY_OUT CG_BOARD CG_SERVICE_FRAMES "
+           "CG_SERVICE_SNAPSHOT_FRAMES\n";
     return code;
 }
 
@@ -472,49 +468,18 @@ cmdServeRun(const std::vector<std::string> &args)
     return outcome.completed ? 0 : 1;
 }
 
-/**
- * CG_CACHE_DIR must be usable before any sweep consults it: create it
- * if missing and prove writability with a probe file. A bad directory
- * is a usage error (exit 2), not a mid-sweep warning storm.
- */
-int
-checkCacheDir()
-{
-    const char *dir = std::getenv("CG_CACHE_DIR");
-    if (dir == nullptr || *dir == '\0')
-        return 0;
-
-    std::error_code ec;
-    std::filesystem::create_directories(dir, ec);
-    const std::string probe_path =
-        std::string(dir) + "/.cg_probe." + std::to_string(::getpid());
-    std::ofstream probe(probe_path);
-    probe << "probe\n";
-    probe.close();
-    if (!probe) {
-        std::cerr << "cg_bench: CG_CACHE_DIR '" << dir
-                  << "' is not a writable directory\n";
-        return usage(std::cerr, 2);
-    }
-    std::filesystem::remove(probe_path, ec);
-    return 0;
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
     // Tool-specific knobs, registered before the strict env scan.
-    sim::allowEnvKey("CG_CACHE_DIR");
     sim::allowEnvKey("CG_SERVICE_FRAMES");
     sim::allowEnvKey("CG_SERVICE_SNAPSHOT_FRAMES");
 
     // Validate the CG_* environment up front so a typo'd knob is
     // fatal on every subcommand, not just the ones that read it.
     (void)sim::EnvOptions::get();
-    if (const int code = checkCacheDir(); code != 0)
-        return code;
 
     const std::vector<std::string> args(argv + 1, argv + argc);
     if (args.empty())

@@ -303,10 +303,6 @@ main(int argc, char **argv)
     // validate the environment up front so a typo'd knob is fatal on
     // every subcommand.
     sim::allowEnvKey("CG_FUZZ_BUDGET");
-    // Accepted for toolchain symmetry (a shared shell environment
-    // must not be fatal here), but inert: fuzz batches run with
-    // caching off.
-    sim::allowEnvKey("CG_CACHE_DIR");
     (void)sim::EnvOptions::get();
 
     const std::vector<std::string> args(argv + 1, argv + argc);
