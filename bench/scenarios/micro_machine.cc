@@ -1,8 +1,9 @@
 /**
  * @file
  * Google-benchmark micro suite for the functional simulator itself:
- * interpreter throughput per opcode class — ALU, load/store, queue
- * push/pop — and on a real kernel (IDCT), plus the cost of error
+ * interpreter throughput per opcode class — ALU, floating point,
+ * branch, load/store, queue push/pop — and on a real kernel (IDCT),
+ * plus the cost of error
  * injection. Simulated instructions per second determine how fast the
  * figure sweeps run. Registers as scenario
  * `micro_machine`; its benchmarks are selected by the BM_Interpreter
@@ -38,6 +39,50 @@ aluLoop()
         a.xor_(R2, R1, R2);
         a.slli(R3, R1, 2);
         a.add(R2, R2, R3);
+    });
+    return a.finalize();
+}
+
+/**
+ * FP loop: multiply-add, min and compare on float registers. The
+ * value grows slowly and stays finite over the 1024 iterations.
+ */
+Program
+fpLoop()
+{
+    Assembler a("fp");
+    a.lif(R1, 1.0001f);
+    a.lif(R2, 0.5f);
+    a.forDown(R30, 1024, [&] {
+        a.fmul(R3, R3, R1);
+        a.fadd(R3, R3, R2);
+        a.fmin(R4, R3, R1);
+        a.flt(R5, R4, R2);
+        a.fsub(R6, R3, R4);
+    });
+    return a.finalize();
+}
+
+/**
+ * Branch loop: four conditional branches per iteration besides the
+ * loop's own, one taken every other iteration, one always taken and
+ * two never taken.
+ */
+Program
+branchLoop()
+{
+    Assembler a("branch");
+    a.forDown(R30, 1024, [&] {
+        a.andi(R1, R30, 1);
+        a.beq(R1, R0, "even");
+        a.addi(R2, R2, 1);
+        a.label("even");
+        a.blt(R30, R0, "never");
+        a.bgeu(R30, R0, "join");
+        a.label("never");
+        a.addi(R3, R3, 1);
+        a.label("join");
+        a.bltu(R30, R1, "never");
     });
     return a.finalize();
 }
@@ -126,6 +171,20 @@ BM_InterpreterAluLoopWithInjection(benchmark::State &state)
 }
 BENCHMARK(BM_InterpreterAluLoopWithInjection)
     ->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterpreterFpLoop(benchmark::State &state)
+{
+    runProgramBench(state, fpLoop(), false);
+}
+BENCHMARK(BM_InterpreterFpLoop)->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterpreterBranchLoop(benchmark::State &state)
+{
+    runProgramBench(state, branchLoop(), false);
+}
+BENCHMARK(BM_InterpreterBranchLoop)->Unit(benchmark::kMicrosecond);
 
 void
 BM_InterpreterIdctKernel(benchmark::State &state)

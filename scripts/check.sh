@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # One-stop local gate: configure, build with every warning an error
 # (the default -Wall -Wextra from the top-level CMakeLists), run the
-# tier-1 test suite, validate the per-run JSONL export schema and the
-# scenario catalogue, and run every scenario once in quick mode:
+# tier-1 test suite in parallel (each test under the TIMEOUT set in
+# tests/CMakeLists.txt), validate the per-run JSONL export schema and
+# the scenario catalogue, and run every scenario once in quick mode:
 # scripts/golden.sh runs each non-micro scenario, plus serve-run in
 # every protection mode, against the committed golden digests, and
 # `cg_bench run --tag=micro` runs the rest (then gate on the sweep
@@ -43,7 +44,7 @@ done
 
 cmake -S . -B "$BUILD_DIR" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
-ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure
+ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"
 cmake --build "$BUILD_DIR" --target schema_check
 
 CG_BENCH="$BUILD_DIR/tools/cg_bench"
@@ -303,10 +304,11 @@ echo "check.sh: schema-check negative gate ok (a string version is" \
      "rejected with exit 1 in every jsonl_check mode)"
 
 # Benchmark gate (perfbench/README.md): build the repository benchmark
-# in Release, regenerate the digest of every selectable run of each
-# BENCHMARK.json workload into $BUILD_DIR/perfbench_check, and require
-# each one to match perfbench/ref/<workload>.txt. The comparison is by key:
-# a committed file may hold more keys than its workload now selects.
+# in Release, with every warning an error as above, regenerate the
+# digest of every selectable run of each BENCHMARK.json workload into
+# $BUILD_DIR/perfbench_check, and require each one to match
+# perfbench/ref/<workload>.txt. The comparison is by key: a committed
+# file may hold more keys than its workload now selects.
 # Then each workload's traced run must report correct, which covers
 # its workload-purpose self-check. Nothing is written under perfbench/.
 PERFBENCH_BUILD="$BUILD_DIR/perfbench"
@@ -314,7 +316,8 @@ PERFBENCH_TMP="$BUILD_DIR/perfbench_check"
 PERFBENCH="$PERFBENCH_BUILD/perfbench"
 rm -rf "$PERFBENCH_TMP"
 mkdir -p "$PERFBENCH_TMP"
-cmake -S perfbench -B "$PERFBENCH_BUILD" -DCMAKE_BUILD_TYPE=Release
+cmake -S perfbench -B "$PERFBENCH_BUILD" -DCMAKE_BUILD_TYPE=Release \
+    -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$PERFBENCH_BUILD" -j "$(nproc)" --target perfbench
 WORKLOADS=$(python3 -c 'import json, sys
 print(" ".join(w["name"] for w in json.load(sys.stdin)["workloads"]))' \

@@ -4,6 +4,7 @@
 #include <complex>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "kernels/basic.hh"
@@ -179,7 +180,8 @@ makeComplexFirApp(int samples)
     NodeId prev = f0;
     int prev_port = 0;
     for (int s = 0; s < numSections; ++s) {
-        const std::string name = "S" + std::to_string(s + 1);
+        std::string name = "S";
+        name += std::to_string(s + 1);
         const auto taps = makeSectionTaps(s);
         const NodeId node = g.addFilter(
             {name, {2}, {2}, [name, taps](int firings) {

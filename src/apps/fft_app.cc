@@ -3,6 +3,8 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernels/basic.hh"
@@ -143,8 +145,10 @@ makeFftApp(int blocks)
          }});
     NodeId prev = f1;
     for (int stage = 0; stage < numStages; ++stage) {
+        std::string name = "S";
+        name += std::to_string(stage);
         const NodeId node = g.addFilter(
-            {"S" + std::to_string(stage), {blockWords}, {blockWords},
+            {std::move(name), {blockWords}, {blockWords},
              [stage](int firings) {
                  return kernels::buildFftStage(fftPoints, stage,
                                                firings);

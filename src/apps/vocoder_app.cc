@@ -3,6 +3,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "kernels/basic.hh"
@@ -153,7 +154,8 @@ makeChannelVocoderApp(int samples)
          }});
     NodeId bands_nodes[numBands];
     for (int b = 0; b < numBands; ++b) {
-        const std::string name = "B" + std::to_string(b);
+        std::string name = "B";
+        name += std::to_string(b);
         const std::vector<float> taps =
             makeBandpass(bandLow[b], bandHigh[b]);
         const float step =

@@ -98,7 +98,13 @@ disassemble(const Inst &inst)
 {
     std::ostringstream os;
     os << opName(inst.op);
-    auto r = [](Reg reg) { return "r" + std::to_string(int(reg)); };
+    // Appending keeps GCC 12's -O3 -Wrestrict false positive on
+    // `"r" + std::to_string(...)` out of Release builds.
+    auto r = [](Reg reg) {
+        std::string name = "r";
+        name += std::to_string(int(reg));
+        return name;
+    };
     switch (inst.op) {
       case Op::Nop:
       case Op::Halt:

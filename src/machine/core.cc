@@ -1,5 +1,6 @@
 #include "machine/core.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -127,8 +128,12 @@ Core::writeBack(HotState &hot)
     _errorCountdown = hot.countdown;
     _counters.committedInsts += hot.committed;
     _counters.cycles += hot.cycles;
+    _counters.loads += hot.loads;
+    _counters.stores += hot.stores;
     hot.committed = 0;
     hot.cycles = 0;
+    hot.loads = 0;
+    hot.stores = 0;
 }
 
 inline void
@@ -140,6 +145,21 @@ Core::reload(HotState &hot) const
 }
 
 inline void
+Core::fold(HotState &hot, Count n, Cycle extra_cycles)
+{
+    hot.committed += n;
+    hot.executed += n;
+    hot.insts += n;
+    hot.cycles += n + extra_cycles;
+    hot.countdown -= n;
+    if (hot.countdown == 0) [[unlikely]] {
+        writeBack(hot);
+        syncScheduledErrors();
+        reload(hot);
+    }
+}
+
+inline void
 Core::commit(HotState &hot, Cycle extra_cycles, Count next_pc)
 {
     if (_trace != nullptr) [[unlikely]] {
@@ -147,14 +167,7 @@ Core::commit(HotState &hot, Cycle extra_cycles, Count next_pc)
         _trace->onCommit(*this, hot.pc, _program.code[hot.pc]);
     }
     hot.pc = next_pc;
-    ++hot.committed;
-    ++hot.insts;
-    hot.cycles += 1 + extra_cycles;
-    if (--hot.countdown == 0) [[unlikely]] {
-        writeBack(hot);
-        syncScheduledErrors();
-        reload(hot);
-    }
+    fold(hot, 1, extra_cycles);
 }
 
 inline Count
@@ -265,7 +278,6 @@ Core::run(Count max_steps)
     const Inst *const code = _program.code.data();
     Word *const mem = _memory.data();
     const Word mem_words = static_cast<Word>(_memory.size());
-    Count executed = 0;
 
     // The hot state lives in locals for the whole slice; writeBack()
     // publishes it before every call out of the loop and every return.
@@ -273,10 +285,10 @@ Core::run(Count max_steps)
     Count limit = watchdogLimit();
     auto finish = [&](RunStatus status) {
         writeBack(hot);
-        return RunResult{status, executed};
+        return RunResult{status, hot.executed};
     };
 
-    while (executed < max_steps) {
+    while (hot.executed < max_steps) {
         if (hot.insts >= limit) [[unlikely]] {
             writeBack(hot);
             if (hot.insts >= _scopeBudget) {
@@ -307,272 +319,327 @@ Core::run(Count max_steps)
             limit = watchdogLimit();
         }
 
+        // The run's budget: how many commits can pass before a
+        // per-commit check could fire (slice end, watchdog, scheduled
+        // error). Right after a nested trip the forced ScopeExit still
+        // executes before the next check, even past an outer limit.
+        // Under tracing every instruction is a run of its own, so each
+        // commit reaches its hook through commit().
+        const Count room = hot.insts < limit ? limit - hot.insts : 1;
+        Count budget =
+            std::min({max_steps - hot.executed, room, hot.countdown});
+        if (_trace != nullptr) [[unlikely]]
+            budget = 1;
+
+        // The run: straight-line instructions until the budget is spent
+        // or a run-ending instruction comes up. Its only bookkeeping is
+        // pc, the run length and the memory-op counts, all scalars
+        // (folding through HotState here costs vector shuffles per
+        // instruction in GCC 12's code).
+        Count pc = hot.pc;
+        Count n = 0;
+        Count loads = 0;
+        Count stores = 0;
+        bool ends_run = false;
+        for (; n != budget; ++n) {
+            const Inst &inst = code[pc];
+            Count next_pc = pc + 1;
+
+            switch (inst.op) {
+              case Op::Nop:
+                break;
+
+              case Op::Li:
+                _regs.write(inst.rd, inst.imm);
+                break;
+
+              // ------------------------------------------------------
+              // Integer ALU.
+              // ------------------------------------------------------
+              case Op::Add:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) + _regs.read(inst.rs2));
+                break;
+              case Op::Sub:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) - _regs.read(inst.rs2));
+                break;
+              case Op::Mul:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) * _regs.read(inst.rs2));
+                break;
+              case Op::Divu: {
+                const Word den = _regs.read(inst.rs2);
+                // PPU contract: divide-by-zero yields a benign 0.
+                _regs.write(inst.rd,
+                            den ? _regs.read(inst.rs1) / den : 0);
+                break;
+              }
+              case Op::Divs: {
+                const SWord num = static_cast<SWord>(_regs.read(inst.rs1));
+                const SWord den = static_cast<SWord>(_regs.read(inst.rs2));
+                SWord result = 0;
+                if (den != 0) {
+                    // Avoid the INT_MIN / -1 overflow trap.
+                    result = static_cast<SWord>(
+                        static_cast<std::int64_t>(num) / den);
+                }
+                _regs.write(inst.rd, static_cast<Word>(result));
+                break;
+              }
+              case Op::Remu: {
+                const Word den = _regs.read(inst.rs2);
+                _regs.write(inst.rd,
+                            den ? _regs.read(inst.rs1) % den : 0);
+                break;
+              }
+              case Op::And:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) & _regs.read(inst.rs2));
+                break;
+              case Op::Or:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) | _regs.read(inst.rs2));
+                break;
+              case Op::Xor:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) ^ _regs.read(inst.rs2));
+                break;
+              case Op::Sll:
+                _regs.write(inst.rd, _regs.read(inst.rs1)
+                                         << (_regs.read(inst.rs2) & 31));
+                break;
+              case Op::Srl:
+                _regs.write(inst.rd, _regs.read(inst.rs1) >>
+                                         (_regs.read(inst.rs2) & 31));
+                break;
+              case Op::Sra:
+                _regs.write(
+                    inst.rd,
+                    static_cast<Word>(
+                        static_cast<SWord>(_regs.read(inst.rs1)) >>
+                        (_regs.read(inst.rs2) & 31)));
+                break;
+              case Op::Slt:
+                _regs.write(
+                    inst.rd,
+                    static_cast<SWord>(_regs.read(inst.rs1)) <
+                            static_cast<SWord>(_regs.read(inst.rs2))
+                        ? 1
+                        : 0);
+                break;
+              case Op::Sltu:
+                _regs.write(inst.rd,
+                            _regs.read(inst.rs1) < _regs.read(inst.rs2)
+                                ? 1 : 0);
+                break;
+
+              case Op::Addi:
+                _regs.write(inst.rd, _regs.read(inst.rs1) + inst.imm);
+                break;
+              case Op::Andi:
+                _regs.write(inst.rd, _regs.read(inst.rs1) & inst.imm);
+                break;
+              case Op::Ori:
+                _regs.write(inst.rd, _regs.read(inst.rs1) | inst.imm);
+                break;
+              case Op::Xori:
+                _regs.write(inst.rd, _regs.read(inst.rs1) ^ inst.imm);
+                break;
+              case Op::Slli:
+                _regs.write(inst.rd, _regs.read(inst.rs1)
+                                         << (inst.imm & 31));
+                break;
+              case Op::Srli:
+                _regs.write(inst.rd, _regs.read(inst.rs1) >>
+                                         (inst.imm & 31));
+                break;
+              case Op::Srai:
+                _regs.write(
+                    inst.rd,
+                    static_cast<Word>(
+                        static_cast<SWord>(_regs.read(inst.rs1)) >>
+                        (inst.imm & 31)));
+                break;
+
+              // ------------------------------------------------------
+              // Floating point.
+              // ------------------------------------------------------
+              case Op::Fadd:
+                _regs.write(
+                    inst.rd,
+                    floatToWord(wordToFloat(_regs.read(inst.rs1)) +
+                                wordToFloat(_regs.read(inst.rs2))));
+                break;
+              case Op::Fsub:
+                _regs.write(
+                    inst.rd,
+                    floatToWord(wordToFloat(_regs.read(inst.rs1)) -
+                                wordToFloat(_regs.read(inst.rs2))));
+                break;
+              case Op::Fmul:
+                _regs.write(
+                    inst.rd,
+                    floatToWord(wordToFloat(_regs.read(inst.rs1)) *
+                                wordToFloat(_regs.read(inst.rs2))));
+                break;
+              case Op::Fdiv:
+                _regs.write(
+                    inst.rd,
+                    floatToWord(wordToFloat(_regs.read(inst.rs1)) /
+                                wordToFloat(_regs.read(inst.rs2))));
+                break;
+              case Op::Fsqrt: {
+                const float x = wordToFloat(_regs.read(inst.rs1));
+                // PPU contract: sqrt of a negative yields 0, not a trap.
+                _regs.write(inst.rd,
+                            floatToWord(x >= 0.0f ? std::sqrt(x) : 0.0f));
+                break;
+              }
+              case Op::Fabs:
+                _regs.write(inst.rd,
+                            floatToWord(std::fabs(
+                                wordToFloat(_regs.read(inst.rs1)))));
+                break;
+              case Op::Fneg:
+                _regs.write(
+                    inst.rd,
+                    floatToWord(-wordToFloat(_regs.read(inst.rs1))));
+                break;
+              case Op::Fmin:
+                _regs.write(inst.rd,
+                            floatToWord(isa::isaFmin(
+                                wordToFloat(_regs.read(inst.rs1)),
+                                wordToFloat(_regs.read(inst.rs2)))));
+                break;
+              case Op::Fmax:
+                _regs.write(inst.rd,
+                            floatToWord(isa::isaFmax(
+                                wordToFloat(_regs.read(inst.rs1)),
+                                wordToFloat(_regs.read(inst.rs2)))));
+                break;
+              case Op::Cvtif:
+                _regs.write(inst.rd,
+                            floatToWord(static_cast<float>(
+                                static_cast<SWord>(
+                                    _regs.read(inst.rs1)))));
+                break;
+              case Op::Cvtfi: {
+                const float x = wordToFloat(_regs.read(inst.rs1));
+                SWord result = 0;
+                // PPU contract: invalid conversions yield a benign 0.
+                if (std::isfinite(x) && x >= -2147483648.0f &&
+                    x <= 2147483520.0f) {
+                    result = static_cast<SWord>(x);
+                }
+                _regs.write(inst.rd, static_cast<Word>(result));
+                break;
+              }
+              case Op::Feq:
+                _regs.write(inst.rd,
+                            wordToFloat(_regs.read(inst.rs1)) ==
+                                    wordToFloat(_regs.read(inst.rs2))
+                                ? 1 : 0);
+                break;
+              case Op::Flt:
+                _regs.write(inst.rd,
+                            wordToFloat(_regs.read(inst.rs1)) <
+                                    wordToFloat(_regs.read(inst.rs2))
+                                ? 1 : 0);
+                break;
+              case Op::Fle:
+                _regs.write(inst.rd,
+                            wordToFloat(_regs.read(inst.rs1)) <=
+                                    wordToFloat(_regs.read(inst.rs2))
+                                ? 1 : 0);
+                break;
+
+              // ------------------------------------------------------
+              // Control flow.
+              // ------------------------------------------------------
+              case Op::Jmp:
+                next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Beq:
+                if (_regs.read(inst.rs1) == _regs.read(inst.rs2))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Bne:
+                if (_regs.read(inst.rs1) != _regs.read(inst.rs2))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Blt:
+                if (static_cast<SWord>(_regs.read(inst.rs1)) <
+                    static_cast<SWord>(_regs.read(inst.rs2)))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Bge:
+                if (static_cast<SWord>(_regs.read(inst.rs1)) >=
+                    static_cast<SWord>(_regs.read(inst.rs2)))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Bltu:
+                if (_regs.read(inst.rs1) < _regs.read(inst.rs2))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+              case Op::Bgeu:
+                if (_regs.read(inst.rs1) >= _regs.read(inst.rs2))
+                    next_pc = static_cast<Count>(inst.target);
+                break;
+
+              // ------------------------------------------------------
+              // Memory (addresses wrap: the PPU never faults).
+              // ------------------------------------------------------
+              case Op::Lw: {
+                const Word addr =
+                    (_regs.read(inst.rs1) + inst.imm) % mem_words;
+                _regs.write(inst.rd, mem[addr]);
+                ++loads;
+                break;
+              }
+              case Op::Sw: {
+                const Word addr =
+                    (_regs.read(inst.rs1) + inst.imm) % mem_words;
+                if (_journalStores) [[unlikely]]
+                    _storeJournal.emplace_back(addr, mem[addr]);
+                mem[addr] = _regs.read(inst.rs2);
+                ++stores;
+                break;
+              }
+
+              default:
+                // Halt, queue and scope instructions (and invalid
+                // opcodes) end the run before they execute.
+                ends_run = true;
+                break;
+            }
+            if (ends_run)
+                break;
+            pc = next_pc;
+        }
+
+        // Fold the run into the hot state once.
+        hot.loads += loads;
+        hot.stores += stores;
+        const Cycle mem_cycles = (loads + stores) * _timing.memExtraCycles;
+        if (_trace == nullptr) [[likely]] {
+            hot.pc = pc;
+            fold(hot, n, mem_cycles);
+        } else if (n != 0) {
+            // A traced run is one instruction: commit() publishes the
+            // state, its load or store counted, and runs its hook.
+            commit(hot, mem_cycles, pc);
+        }
+        if (!ends_run)
+            continue;
+
+        // The run-ending instruction at hot.pc, committed on its own.
         const Inst &inst = code[hot.pc];
-        Count next_pc = hot.pc + 1;
-
+        const Count next_pc = hot.pc + 1;
         switch (inst.op) {
-          case Op::Nop:
-            break;
-
           case Op::Halt:
             commit(hot, 0, hot.pc);
-            ++executed;
             return finish(RunStatus::Done);
-
-          case Op::Li:
-            _regs.write(inst.rd, inst.imm);
-            break;
-
-          // ----------------------------------------------------------
-          // Integer ALU.
-          // ----------------------------------------------------------
-          case Op::Add:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) + _regs.read(inst.rs2));
-            break;
-          case Op::Sub:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) - _regs.read(inst.rs2));
-            break;
-          case Op::Mul:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) * _regs.read(inst.rs2));
-            break;
-          case Op::Divu: {
-            const Word den = _regs.read(inst.rs2);
-            // PPU contract: divide-by-zero yields a benign 0.
-            _regs.write(inst.rd,
-                        den ? _regs.read(inst.rs1) / den : 0);
-            break;
-          }
-          case Op::Divs: {
-            const SWord num = static_cast<SWord>(_regs.read(inst.rs1));
-            const SWord den = static_cast<SWord>(_regs.read(inst.rs2));
-            SWord result = 0;
-            if (den != 0) {
-                // Avoid the INT_MIN / -1 overflow trap.
-                result = static_cast<SWord>(
-                    static_cast<std::int64_t>(num) / den);
-            }
-            _regs.write(inst.rd, static_cast<Word>(result));
-            break;
-          }
-          case Op::Remu: {
-            const Word den = _regs.read(inst.rs2);
-            _regs.write(inst.rd,
-                        den ? _regs.read(inst.rs1) % den : 0);
-            break;
-          }
-          case Op::And:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) & _regs.read(inst.rs2));
-            break;
-          case Op::Or:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) | _regs.read(inst.rs2));
-            break;
-          case Op::Xor:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) ^ _regs.read(inst.rs2));
-            break;
-          case Op::Sll:
-            _regs.write(inst.rd, _regs.read(inst.rs1)
-                                     << (_regs.read(inst.rs2) & 31));
-            break;
-          case Op::Srl:
-            _regs.write(inst.rd, _regs.read(inst.rs1) >>
-                                     (_regs.read(inst.rs2) & 31));
-            break;
-          case Op::Sra:
-            _regs.write(
-                inst.rd,
-                static_cast<Word>(
-                    static_cast<SWord>(_regs.read(inst.rs1)) >>
-                    (_regs.read(inst.rs2) & 31)));
-            break;
-          case Op::Slt:
-            _regs.write(inst.rd,
-                        static_cast<SWord>(_regs.read(inst.rs1)) <
-                                static_cast<SWord>(_regs.read(inst.rs2))
-                            ? 1
-                            : 0);
-            break;
-          case Op::Sltu:
-            _regs.write(inst.rd,
-                        _regs.read(inst.rs1) < _regs.read(inst.rs2)
-                            ? 1 : 0);
-            break;
-
-          case Op::Addi:
-            _regs.write(inst.rd, _regs.read(inst.rs1) + inst.imm);
-            break;
-          case Op::Andi:
-            _regs.write(inst.rd, _regs.read(inst.rs1) & inst.imm);
-            break;
-          case Op::Ori:
-            _regs.write(inst.rd, _regs.read(inst.rs1) | inst.imm);
-            break;
-          case Op::Xori:
-            _regs.write(inst.rd, _regs.read(inst.rs1) ^ inst.imm);
-            break;
-          case Op::Slli:
-            _regs.write(inst.rd, _regs.read(inst.rs1)
-                                     << (inst.imm & 31));
-            break;
-          case Op::Srli:
-            _regs.write(inst.rd, _regs.read(inst.rs1) >>
-                                     (inst.imm & 31));
-            break;
-          case Op::Srai:
-            _regs.write(
-                inst.rd,
-                static_cast<Word>(
-                    static_cast<SWord>(_regs.read(inst.rs1)) >>
-                    (inst.imm & 31)));
-            break;
-
-          // ----------------------------------------------------------
-          // Floating point.
-          // ----------------------------------------------------------
-          case Op::Fadd:
-            _regs.write(inst.rd,
-                        floatToWord(wordToFloat(_regs.read(inst.rs1)) +
-                                    wordToFloat(_regs.read(inst.rs2))));
-            break;
-          case Op::Fsub:
-            _regs.write(inst.rd,
-                        floatToWord(wordToFloat(_regs.read(inst.rs1)) -
-                                    wordToFloat(_regs.read(inst.rs2))));
-            break;
-          case Op::Fmul:
-            _regs.write(inst.rd,
-                        floatToWord(wordToFloat(_regs.read(inst.rs1)) *
-                                    wordToFloat(_regs.read(inst.rs2))));
-            break;
-          case Op::Fdiv:
-            _regs.write(inst.rd,
-                        floatToWord(wordToFloat(_regs.read(inst.rs1)) /
-                                    wordToFloat(_regs.read(inst.rs2))));
-            break;
-          case Op::Fsqrt: {
-            const float x = wordToFloat(_regs.read(inst.rs1));
-            // PPU contract: sqrt of a negative yields 0, not a trap.
-            _regs.write(inst.rd,
-                        floatToWord(x >= 0.0f ? std::sqrt(x) : 0.0f));
-            break;
-          }
-          case Op::Fabs:
-            _regs.write(inst.rd,
-                        floatToWord(std::fabs(
-                            wordToFloat(_regs.read(inst.rs1)))));
-            break;
-          case Op::Fneg:
-            _regs.write(inst.rd,
-                        floatToWord(-wordToFloat(_regs.read(inst.rs1))));
-            break;
-          case Op::Fmin:
-            _regs.write(inst.rd,
-                        floatToWord(isa::isaFmin(
-                            wordToFloat(_regs.read(inst.rs1)),
-                            wordToFloat(_regs.read(inst.rs2)))));
-            break;
-          case Op::Fmax:
-            _regs.write(inst.rd,
-                        floatToWord(isa::isaFmax(
-                            wordToFloat(_regs.read(inst.rs1)),
-                            wordToFloat(_regs.read(inst.rs2)))));
-            break;
-          case Op::Cvtif:
-            _regs.write(inst.rd,
-                        floatToWord(static_cast<float>(
-                            static_cast<SWord>(_regs.read(inst.rs1)))));
-            break;
-          case Op::Cvtfi: {
-            const float x = wordToFloat(_regs.read(inst.rs1));
-            SWord result = 0;
-            // PPU contract: invalid conversions yield a benign 0.
-            if (std::isfinite(x) && x >= -2147483648.0f &&
-                x <= 2147483520.0f) {
-                result = static_cast<SWord>(x);
-            }
-            _regs.write(inst.rd, static_cast<Word>(result));
-            break;
-          }
-          case Op::Feq:
-            _regs.write(inst.rd,
-                        wordToFloat(_regs.read(inst.rs1)) ==
-                                wordToFloat(_regs.read(inst.rs2))
-                            ? 1 : 0);
-            break;
-          case Op::Flt:
-            _regs.write(inst.rd,
-                        wordToFloat(_regs.read(inst.rs1)) <
-                                wordToFloat(_regs.read(inst.rs2))
-                            ? 1 : 0);
-            break;
-          case Op::Fle:
-            _regs.write(inst.rd,
-                        wordToFloat(_regs.read(inst.rs1)) <=
-                                wordToFloat(_regs.read(inst.rs2))
-                            ? 1 : 0);
-            break;
-
-          // ----------------------------------------------------------
-          // Control flow.
-          // ----------------------------------------------------------
-          case Op::Jmp:
-            next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Beq:
-            if (_regs.read(inst.rs1) == _regs.read(inst.rs2))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Bne:
-            if (_regs.read(inst.rs1) != _regs.read(inst.rs2))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Blt:
-            if (static_cast<SWord>(_regs.read(inst.rs1)) <
-                static_cast<SWord>(_regs.read(inst.rs2)))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Bge:
-            if (static_cast<SWord>(_regs.read(inst.rs1)) >=
-                static_cast<SWord>(_regs.read(inst.rs2)))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Bltu:
-            if (_regs.read(inst.rs1) < _regs.read(inst.rs2))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-          case Op::Bgeu:
-            if (_regs.read(inst.rs1) >= _regs.read(inst.rs2))
-                next_pc = static_cast<Count>(inst.target);
-            break;
-
-          // ----------------------------------------------------------
-          // Memory (addresses wrap: the PPU never faults).
-          // ----------------------------------------------------------
-          case Op::Lw: {
-            const Word addr =
-                (_regs.read(inst.rs1) + inst.imm) % mem_words;
-            _regs.write(inst.rd, mem[addr]);
-            ++_counters.loads;
-            commit(hot, _timing.memExtraCycles, next_pc);
-            ++executed;
-            continue;
-          }
-          case Op::Sw: {
-            const Word addr =
-                (_regs.read(inst.rs1) + inst.imm) % mem_words;
-            if (_journalStores) [[unlikely]]
-                _storeJournal.emplace_back(addr, mem[addr]);
-            mem[addr] = _regs.read(inst.rs2);
-            ++_counters.stores;
-            commit(hot, _timing.memExtraCycles, next_pc);
-            ++executed;
-            continue;
-          }
 
           // ----------------------------------------------------------
           // Streaming communication.
@@ -602,34 +669,8 @@ Core::run(Count max_steps)
             _blocked = false;
             ++_counters.queuePushes;
             commit(hot, _timing.queueOpCycles, next_pc);
-            ++executed;
-            continue;
-          }
-          case Op::ScopeEnter: {
-            if (_ppu.enforceNestedScopes &&
-                static_cast<int>(_scopeStack.size()) <
-                    _ppu.maxScopeDepth) {
-                const isa::ScopeInfo &info = _program.scopes[inst.imm];
-                Count budget = info.estimatedInsts *
-                               _ppu.watchdogMultiplier;
-                if (budget < 64)
-                    budget = 64;
-                _scopeStack.push_back(ScopeFrame{
-                    inst.imm, info.exitPc, hot.insts + budget});
-                limit = watchdogLimit();
-            }
             break;
           }
-          case Op::ScopeExit:
-            // Pop only the matching activation: exits of scopes that
-            // were beyond the tracked depth fall through harmlessly.
-            if (!_scopeStack.empty() &&
-                _scopeStack.back().id == inst.imm) {
-                _scopeStack.pop_back();
-                limit = watchdogLimit();
-            }
-            break;
-
           case Op::Pop: {
             const int port = static_cast<int>(inst.imm);
             writeBack(hot);
@@ -652,16 +693,42 @@ Core::run(Count max_steps)
             _regs.write(inst.rd, result.value);
             ++_counters.queuePops;
             commit(hot, _timing.queueOpCycles, next_pc);
-            ++executed;
-            continue;
+            break;
           }
+
+          // ----------------------------------------------------------
+          // Nested scopes: both move the watchdog limit.
+          // ----------------------------------------------------------
+          case Op::ScopeEnter: {
+            if (_ppu.enforceNestedScopes &&
+                static_cast<int>(_scopeStack.size()) <
+                    _ppu.maxScopeDepth) {
+                const isa::ScopeInfo &info = _program.scopes[inst.imm];
+                Count scope_budget = info.estimatedInsts *
+                                     _ppu.watchdogMultiplier;
+                if (scope_budget < 64)
+                    scope_budget = 64;
+                _scopeStack.push_back(ScopeFrame{
+                    inst.imm, info.exitPc, hot.insts + scope_budget});
+                limit = watchdogLimit();
+            }
+            commit(hot, 0, next_pc);
+            break;
+          }
+          case Op::ScopeExit:
+            // Pop only the matching activation: exits of scopes that
+            // were beyond the tracked depth fall through harmlessly.
+            if (!_scopeStack.empty() &&
+                _scopeStack.back().id == inst.imm) {
+                _scopeStack.pop_back();
+                limit = watchdogLimit();
+            }
+            commit(hot, 0, next_pc);
+            break;
 
           default:
             panic("core " + _name + ": invalid opcode");
         }
-
-        commit(hot, 0, next_pc);
-        ++executed;
     }
 
     return finish(RunStatus::OutOfSteps);

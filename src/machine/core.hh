@@ -270,8 +270,9 @@ class Core
     /**
      * The interpreter's hot state while run() holds it in locals:
      * pc, insts and countdown stand for _pc, _instsThisInvocation and
-     * _errorCountdown; committed and cycles are the committedInsts and
-     * cycles not yet added to the counters.
+     * _errorCountdown; committed, cycles, loads and stores are the
+     * counts not yet added to the counters; executed is the commits of
+     * the current run() slice.
      */
     struct HotState
     {
@@ -280,13 +281,17 @@ class Core
         Count countdown;
         Count committed;
         Cycle cycles;
+        Count loads;
+        Count stores;
+        Count executed;
     };
 
     /** Take the hot state into locals (no pending deltas). */
     HotState
     holdHotState() const
     {
-        return {_pc, _instsThisInvocation, _errorCountdown, 0, 0};
+        return {_pc, _instsThisInvocation, _errorCountdown, 0, 0, 0, 0,
+                0};
     }
 
     /**
@@ -300,9 +305,19 @@ class Core
     void reload(HotState &hot) const;
 
     /**
-     * Commit the instruction at hot.pc: trace hook, advance pc, count
-     * and cycle, then step the error countdown. The only definition of
-     * commit; both run() and the QM timeout paths go through it.
+     * Count @p n commits into @p hot: instructions, the per-invocation
+     * count and the error countdown, and one cycle each plus
+     * @p extra_cycles. If that spends the countdown, run the error
+     * sync. The only definition of counting: run() folds each
+     * straight-line run through it once, and commit() is its
+     * one-instruction case.
+     */
+    void fold(HotState &hot, Count n, Cycle extra_cycles);
+
+    /**
+     * Commit the instruction at hot.pc: trace hook, advance pc, then
+     * fold one instruction. Run-ending instructions, traced
+     * instructions and the QM timeout paths go through it.
      */
     void commit(HotState &hot, Cycle extra_cycles, Count next_pc);
 

@@ -7,14 +7,15 @@
  * hooks, the error sync, and the watchdog trips. These tests pin that
  * rule on a producer→consumer pair that exercises every such point
  * under heavy error injection: a traced run and an untraced run must
- * end in the same state, and the state each trace hook observes is
- * pinned by a digest.
+ * end in the same state, the state each trace hook observes is pinned
+ * by a digest, and no scheduling-slice size changes either.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "isa/assembler.hh"
@@ -297,6 +298,88 @@ runPair(RecordingSink *sink)
     run.consumer = endState(cons);
     run.output = out->items();
     return run;
+}
+
+/** What a producer-only run leaves behind. */
+struct SoloRun
+{
+    bool completed = false;
+    CoreEnd core;
+    std::vector<Word> output;
+};
+
+/**
+ * Run producer() alone on one core into a collector, so nothing ever
+ * blocks, with @p slice instructions per scheduling slice; @p sink
+ * (may be null) observes the core.
+ */
+SoloRun
+runProducerAlone(Count slice, std::uint64_t seed, RecordingSink *sink)
+{
+    MachineConfig config;
+    config.sliceInstructions = slice;
+    Multicore machine(config);
+    Core &core = machine.addCore("prod");
+    auto *out = static_cast<CollectorQueue *>(&machine.addQueue(
+        std::make_unique<CollectorQueue>("out")));
+
+    core.setProgram(producer());
+    ErrorInjector::Config injector;
+    injector.enabled = true;
+    injector.mtbe = kMtbe;
+    injector.seed = seed;
+    core.configureInjector(injector);
+    core.setTraceSink(sink);
+    machine.addRuntime(
+        core,
+        machine.addBackend(std::make_unique<RawBackend>(
+            std::vector<QueueBase *>{}, std::vector<QueueBase *>{out})),
+        kFrames);
+
+    SoloRun run;
+    run.completed = machine.run().completed;
+    run.core = endState(core);
+    run.output = out->items();
+    return run;
+}
+
+/**
+ * The interpreter retires straight-line runs against one budget: the
+ * slice's end, the next watchdog limit and the next scheduled error.
+ * A one-instruction slice checks all three after every commit, so any
+ * slice size must end in exactly the same state, traced or not.
+ */
+TEST(CoreWriteBack, SliceSizeNeverChangesTheRun)
+{
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+        for (const bool traced : {false, true}) {
+            RecordingSink base_sink;
+            const SoloRun base =
+                runProducerAlone(1, seed, traced ? &base_sink : nullptr);
+            ASSERT_TRUE(base.completed);
+            // Every budget boundary comes up: errors and nested trips.
+            EXPECT_GT(base.core.errorsInjected, 0u);
+            EXPECT_GT(base.core.counters.nestedScopeTrips, 0u);
+
+            for (const Count slice : {2, 3, 7, 64, 97, 50'000}) {
+                SCOPED_TRACE("seed " + std::to_string(seed) + ", slice " +
+                             std::to_string(slice) +
+                             (traced ? ", traced" : ""));
+                RecordingSink sink;
+                const SoloRun run =
+                    runProducerAlone(slice, seed, traced ? &sink : nullptr);
+                ASSERT_TRUE(run.completed);
+                EXPECT_EQ(counterValues(run.core.counters),
+                          counterValues(base.core.counters));
+                EXPECT_EQ(run.core.regs, base.core.regs);
+                EXPECT_TRUE(run.core.memory == base.core.memory);
+                EXPECT_EQ(run.core.errorsInjected,
+                          base.core.errorsInjected);
+                EXPECT_EQ(run.output, base.output);
+                EXPECT_EQ(sink.digest(), base_sink.digest());
+            }
+        }
+    }
 }
 
 TEST(CoreWriteBack, TracedAndUntracedRunsEndAlike)
