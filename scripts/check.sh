@@ -355,7 +355,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     # every error fatal (-fno-sanitize-recover=all at build time).
     cmake --preset asan
     cmake --build --preset asan -j "$(nproc)"
-    ctest --preset tier1-asan
+    ctest --preset tier1-asan -j "$(nproc)"
     CG_FUZZ_BUDGET=5 ./build-asan/tools/cg_fuzz run --seed=1
 
     # Service soak under ASan (docs/SERVICE.md): >= 1M frames streamed
@@ -389,7 +389,7 @@ if [ "$SANITIZE" -eq 1 ]; then
     # jobs=1-vs-jobs=N comparison — plus a quick fuzz budget.
     cmake --preset tsan
     cmake --build --preset tsan -j "$(nproc)"
-    ctest --test-dir build-tsan --output-on-failure \
+    ctest --test-dir build-tsan --output-on-failure -j "$(nproc)" \
         -R 'SweepRunner|ThreadPool|Fuzz'
     CG_FUZZ_BUDGET=5 ./build-tsan/tools/cg_fuzz run --seed=1
 fi

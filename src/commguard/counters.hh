@@ -58,21 +58,6 @@ struct CgCounters
     metrics::Histogram amStateOccupancy{
         {"RcvCmp", "ExpHdr", "DiscFr", "Disc", "Pdg"}};
 
-    /** FSM/Counter class of Fig. 14. */
-    Count fsmCounterOps() const { return fsmOps + counterOps; }
-
-    /** ECC class of Fig. 14 (working-set pointer ECC is counted by the
-     *  queues and added by the reporting layer). */
-    Count eccOps() const { return eccChecks + eccComputes; }
-
-    /** Total CommGuard suboperations (Fig. 14 "Total"). */
-    Count
-    totalOps() const
-    {
-        return fsmCounterOps() + eccOps() + headerBitOps +
-               prepareHeaderOps;
-    }
-
     /** Register every counter in @p registry under @p prefix. */
     void
     linkTo(metrics::Registry &registry,

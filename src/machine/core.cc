@@ -162,10 +162,6 @@ Core::fold(HotState &hot, Count n, Cycle extra_cycles)
 inline void
 Core::commit(HotState &hot, Cycle extra_cycles, Count next_pc)
 {
-    if (_trace != nullptr) [[unlikely]] {
-        writeBack(hot);
-        _trace->onCommit(*this, hot.pc, _program.code[hot.pc]);
-    }
     hot.pc = next_pc;
     fold(hot, 1, extra_cycles);
 }
@@ -323,19 +319,18 @@ Core::run(Count max_steps)
         // per-commit check could fire (slice end, watchdog, scheduled
         // error). Right after a nested trip the forced ScopeExit still
         // executes before the next check, even past an outer limit.
-        // Under tracing every instruction is a run of its own, so each
-        // commit reaches its hook through commit().
         const Count room = hot.insts < limit ? limit - hot.insts : 1;
-        Count budget =
+        const Count budget =
             std::min({max_steps - hot.executed, room, hot.countdown});
-        if (_trace != nullptr) [[unlikely]]
-            budget = 1;
 
         // The run: straight-line instructions until the budget is spent
         // or a run-ending instruction comes up. Its only bookkeeping is
         // pc, the run length and the memory-op counts, all scalars
         // (folding through HotState here costs vector shuffles per
-        // instruction in GCC 12's code).
+        // instruction in GCC 12's code). A taken branch sets pc and
+        // continues; every other instruction leaves the switch for the
+        // one latch that advances pc and counts it, so a case body
+        // jumps straight to the latch (DESIGN.md §6b).
         Count pc = hot.pc;
         Count n = 0;
         Count loads = 0;
@@ -343,8 +338,6 @@ Core::run(Count max_steps)
         bool ends_run = false;
         for (; n != budget; ++n) {
             const Inst &inst = code[pc];
-            Count next_pc = pc + 1;
-
             switch (inst.op) {
               case Op::Nop:
                 break;
@@ -558,33 +551,45 @@ Core::run(Count max_steps)
               // Control flow.
               // ------------------------------------------------------
               case Op::Jmp:
-                next_pc = static_cast<Count>(inst.target);
-                break;
+                pc = static_cast<Count>(inst.target);
+                continue;
               case Op::Beq:
-                if (_regs.read(inst.rs1) == _regs.read(inst.rs2))
-                    next_pc = static_cast<Count>(inst.target);
+                if (_regs.read(inst.rs1) == _regs.read(inst.rs2)) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
               case Op::Bne:
-                if (_regs.read(inst.rs1) != _regs.read(inst.rs2))
-                    next_pc = static_cast<Count>(inst.target);
+                if (_regs.read(inst.rs1) != _regs.read(inst.rs2)) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
               case Op::Blt:
                 if (static_cast<SWord>(_regs.read(inst.rs1)) <
-                    static_cast<SWord>(_regs.read(inst.rs2)))
-                    next_pc = static_cast<Count>(inst.target);
+                    static_cast<SWord>(_regs.read(inst.rs2))) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
               case Op::Bge:
                 if (static_cast<SWord>(_regs.read(inst.rs1)) >=
-                    static_cast<SWord>(_regs.read(inst.rs2)))
-                    next_pc = static_cast<Count>(inst.target);
+                    static_cast<SWord>(_regs.read(inst.rs2))) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
               case Op::Bltu:
-                if (_regs.read(inst.rs1) < _regs.read(inst.rs2))
-                    next_pc = static_cast<Count>(inst.target);
+                if (_regs.read(inst.rs1) < _regs.read(inst.rs2)) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
               case Op::Bgeu:
-                if (_regs.read(inst.rs1) >= _regs.read(inst.rs2))
-                    next_pc = static_cast<Count>(inst.target);
+                if (_regs.read(inst.rs1) >= _regs.read(inst.rs2)) {
+                    pc = static_cast<Count>(inst.target);
+                    continue;
+                }
                 break;
 
               // ------------------------------------------------------
@@ -615,21 +620,14 @@ Core::run(Count max_steps)
             }
             if (ends_run)
                 break;
-            pc = next_pc;
+            ++pc;
         }
 
         // Fold the run into the hot state once.
         hot.loads += loads;
         hot.stores += stores;
-        const Cycle mem_cycles = (loads + stores) * _timing.memExtraCycles;
-        if (_trace == nullptr) [[likely]] {
-            hot.pc = pc;
-            fold(hot, n, mem_cycles);
-        } else if (n != 0) {
-            // A traced run is one instruction: commit() publishes the
-            // state, its load or store counted, and runs its hook.
-            commit(hot, mem_cycles, pc);
-        }
+        hot.pc = pc;
+        fold(hot, n, (loads + stores) * _timing.memExtraCycles);
         if (!ends_run)
             continue;
 

@@ -309,15 +309,15 @@ class Core
      * count and the error countdown, and one cycle each plus
      * @p extra_cycles. If that spends the countdown, run the error
      * sync. The only definition of counting: run() folds each
-     * straight-line run through it once, and commit() is its
-     * one-instruction case.
+     * straight-line run through it once, whether or not a trace sink
+     * is attached, and commit() is its one-instruction case.
      */
     void fold(HotState &hot, Count n, Cycle extra_cycles);
 
     /**
-     * Commit the instruction at hot.pc: trace hook, advance pc, then
-     * fold one instruction. Run-ending instructions, traced
-     * instructions and the QM timeout paths go through it.
+     * Commit the instruction at hot.pc: move pc to @p next_pc, then
+     * fold one instruction. Run-ending instructions and the QM timeout
+     * paths go through it.
      */
     void commit(HotState &hot, Cycle extra_cycles, Count next_pc);
 

@@ -1,52 +1,10 @@
 #include "machine/trace.hh"
 
-#include "isa/program.hh"
 #include "machine/core.hh"
 #include "queue/queue_base.hh"
 
 namespace commguard
 {
-
-// ---------------------------------------------------------------------
-// TextTracer
-// ---------------------------------------------------------------------
-
-void
-TextTracer::onCommit(const Core &core, Count pc, const isa::Inst &inst)
-{
-    ++_commits;
-    if (_commits > _maxLines) {
-        if (_commits == _maxLines + 1)
-            _os << core.name() << ": ... (trace line budget reached; "
-                << "counting silently)\n";
-        return;
-    }
-    _os << core.name() << " [" << pc << "] "
-        << isa::disassemble(inst) << "\n";
-}
-
-void
-TextTracer::onInvocationStart(const Core &core)
-{
-    if (_commits <= _maxLines) {
-        _os << core.name() << " ---- invocation "
-            << core.counters().invocations << " ----\n";
-    }
-}
-
-void
-TextTracer::onErrorInjected(const Core &core, isa::Reg reg, int bit)
-{
-    ++_errors;
-    if (_commits <= _maxLines) {
-        _os << core.name() << " !!!! bit flip r"
-            << static_cast<int>(reg) << " bit " << bit << "\n";
-    }
-}
-
-// ---------------------------------------------------------------------
-// EventTracer
-// ---------------------------------------------------------------------
 
 using trace::EventKind;
 

@@ -3,22 +3,23 @@
  * Execution tracing hooks for debugging and observing simulated
  * programs.
  *
- * A TraceSink observes a core's committed instructions, invocation
- * boundaries, queue activity, CommGuard frame-lifecycle actions, and
- * injected errors — the simulator-side equivalent of gem5's
- * trace-based debugging. Tracing is off by default and costs one
- * pointer test per observed event when enabled.
+ * A TraceSink observes a core's invocation boundaries, queue activity,
+ * CommGuard frame-lifecycle actions, watchdog trips and injected
+ * errors. Tracing is off by default and costs one pointer test per
+ * observed event. Attaching a sink never changes how the interpreter
+ * retires instructions: every hook fires at a point where the core has
+ * already published its state (DESIGN.md §6b).
  *
- * This is the single dispatch point for every observer: the
- * human-readable TextTracer, the binary EventTracer, and any test
- * double all implement TraceSink, and a core holds at most one sink.
+ * This is the single dispatch point for every observer: the binary
+ * EventTracer (CG_TRACE_EVENTS) and any test double implement
+ * TraceSink, and a core holds at most one sink. For instruction-level
+ * inspection, `fault_playground --disasm` prints a program's listing.
  */
 
 #ifndef COMMGUARD_MACHINE_TRACE_HH
 #define COMMGUARD_MACHINE_TRACE_HH
 
 #include <cstdint>
-#include <ostream>
 
 #include "common/event_trace.hh"
 #include "common/types.hh"
@@ -38,15 +39,6 @@ class TraceSink
 {
   public:
     virtual ~TraceSink() = default;
-
-    /** An instruction at @p pc committed on @p core. */
-    virtual void
-    onCommit(const Core &core, Count pc, const isa::Inst &inst)
-    {
-        (void)core;
-        (void)pc;
-        (void)inst;
-    }
 
     /** A new frame-computation invocation began. */
     virtual void
@@ -210,42 +202,9 @@ class TraceSink
 };
 
 /**
- * Human-readable trace writer with a line budget (trailing activity is
- * summarized as a count so a runaway program cannot flood the log).
- */
-class TextTracer : public TraceSink
-{
-  public:
-    /**
-     * @param os        Destination stream (not owned).
-     * @param max_lines Instruction lines to print before going quiet.
-     */
-    explicit TextTracer(std::ostream &os, Count max_lines = 200)
-        : _os(os), _maxLines(max_lines)
-    {}
-
-    void onCommit(const Core &core, Count pc,
-                  const isa::Inst &inst) override;
-    void onInvocationStart(const Core &core) override;
-    void onErrorInjected(const Core &core, isa::Reg reg,
-                         int bit) override;
-
-    Count commitsSeen() const { return _commits; }
-    Count errorsSeen() const { return _errors; }
-
-  private:
-    std::ostream &_os;
-    Count _maxLines;
-    Count _commits = 0;
-    Count _errors = 0;
-};
-
-/**
- * Binary event tracer: renders every frame-lifecycle hook into one
- * trace::EventTrace track. Instruction commits are deliberately not
- * recorded (they would drown the ring; instruction-level inspection
- * stays with TextTracer). Timestamps are the observed core's cycle
- * clock; the shared seq stamp provides cross-track order.
+ * Binary event tracer: renders every hook into one trace::EventTrace
+ * track. Timestamps are the observed core's cycle clock; the shared
+ * seq stamp provides cross-track order.
  */
 class EventTracer : public TraceSink
 {

@@ -49,12 +49,8 @@
  * rejected via fatal() at parse time — and so is any CG_* variable
  * that is not a known knob, so typos like CG_TELEMTRY_OUT die at
  * startup instead of silently no-opping. Tools with their own knobs
- * register them via allowEnvKey() before the first parse:
- * cg_fuzz's CG_FUZZ_BUDGET, and cg_bench's two service-mode knobs
- * (docs/SERVICE.md), honored by `cg_bench serve-run` as defaults its
- * flags override —
- *   CG_SERVICE_FRAMES          int  total frames to stream
- *   CG_SERVICE_SNAPSHOT_FRAMES int  snapshot record cadence (frames)
+ * register them via allowEnvKey() before the first parse: cg_fuzz's
+ * CG_FUZZ_BUDGET.
  */
 
 #ifndef COMMGUARD_SIM_ENV_OPTIONS_HH

@@ -1,9 +1,9 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "sim/env_options.hh"
-#include "sim/sweep_runner.hh"
 
 namespace commguard::sim
 {
@@ -84,22 +84,6 @@ mtbeAxis()
         1'024'000, 2'048'000, 4'096'000, 8'192'000,
     };
     return axis;
-}
-
-SampleStats
-qualitySweep(const apps::App &app, double mtbe,
-             protection::ProtectionMode mode, Count frame_scale)
-{
-    SweepRunner &runner = sharedRunner();
-    for (int seed = 0; seed < seedsPerPoint; ++seed)
-        runner.enqueue(app, sweepOptions(mode, true, mtbe, seed,
-                                         frame_scale));
-
-    std::vector<double> qualities;
-    qualities.reserve(seedsPerPoint);
-    for (const RunOutcome &outcome : runner.runAll())
-        qualities.push_back(outcome.qualityDb);
-    return summarize(qualities);
 }
 
 } // namespace commguard::sim

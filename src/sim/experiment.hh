@@ -225,14 +225,6 @@ const std::vector<Count> &mtbeAxis();
 /** Paper methodology: five seeds per configuration. */
 constexpr int seedsPerPoint = 5;
 
-/**
- * Sweep helper: run @p app at one MTBE over seedsPerPoint seeds and
- * summarize the quality.
- */
-SampleStats qualitySweep(const apps::App &app, double mtbe,
-                         protection::ProtectionMode mode,
-                         Count frame_scale = 1);
-
 } // namespace commguard::sim
 
 #endif // COMMGUARD_SIM_EXPERIMENT_HH

@@ -43,7 +43,9 @@ ExperimentConfig::seedIndex(int index)
         throw std::invalid_argument(
             "ExperimentConfig: seed index must be >= 0, got " +
             std::to_string(index));
-    _options.seed = static_cast<std::uint64_t>(index + 1) * 1000003;
+    _options.seed = sweepOptions(_options.mode, _options.injectErrors,
+                                 _options.mtbe, index)
+                        .seed;
     return *this;
 }
 

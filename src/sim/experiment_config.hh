@@ -106,9 +106,9 @@ class ExperimentConfig
     }
 
     /**
-     * Canonical sweep seed for 0-based @p index — the same derivation
-     * sweepOptions() uses, so builder-made runs join sweep batches
-     * bit-identically.
+     * Canonical sweep seed for 0-based @p index, taken from
+     * sweepOptions() (the one derivation), so builder-made runs join
+     * sweep batches bit-identically.
      */
     ExperimentConfig &seedIndex(int index);
 

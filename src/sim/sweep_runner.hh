@@ -168,8 +168,8 @@ class SweepRunner
 };
 
 /**
- * Process-wide runner shared by qualitySweep() and the bench helpers,
- * reused for every sweep. Only for use from the main thread.
+ * Process-wide runner shared by the bench helpers, reused for every
+ * sweep. Only for use from the main thread.
  *
  * The pool width is pinned when the first caller constructs the
  * runner; changing CG_JOBS later in the process (e.g. setenv() from

@@ -2,9 +2,10 @@
  * @file
  * Tests for the frame-lifecycle event tracer (docs/TRACING.md): ring
  * buffer wrap/drop accounting, event/counter conservation on traced
- * runs, the Perfetto export shape, the streamed Perfetto text against
- * a Json-tree reference writer, the per-error realignment forensics,
- * and the CG_TRACE_* environment knob validation.
+ * runs, traced runs computing what untraced ones do, the Perfetto
+ * export shape, the streamed Perfetto text against a Json-tree
+ * reference writer, the per-error realignment forensics, and the
+ * CG_TRACE_* environment knob validation.
  */
 
 #include <gtest/gtest.h>
@@ -222,6 +223,36 @@ TEST(EventTraceRun, ConservationHoldsOnPpuOnlyRun)
         traceConservationErrors(*outcome.eventTrace, outcome.snapshot);
     EXPECT_TRUE(errors.empty())
         << "first violation: " << errors.front();
+}
+
+TEST(EventTraceRun, TracingNeverChangesARunInAnyMode)
+{
+    // Every backend fires hooks from inside its own calls (queue-depth
+    // samples, and under CommGuard header inserts and AM repairs), so
+    // each registered mode must compute exactly the same run with the
+    // tracer attached as without it.
+    const apps::App app = apps::makeFftApp(4);
+    for (const protection::ProtectionMode mode :
+         protection::ProtectionRegistry::instance().modes()) {
+        SCOPED_TRACE(protection::protectionModeName(mode));
+        const auto run = [&](bool traced) {
+            return ExperimentConfig::app(app)
+                .mode(mode)
+                .mtbe(8'000)
+                .seedIndex(0)
+                .traceEvents(traced)
+                .run();
+        };
+        const RunOutcome traced = run(true);
+        const RunOutcome plain = run(false);
+        ASSERT_NE(traced.eventTrace, nullptr);
+        ASSERT_EQ(plain.eventTrace, nullptr);
+        EXPECT_GT(traced.errorsInjected(), 0u);
+
+        EXPECT_TRUE(traced.snapshot == plain.snapshot);
+        EXPECT_EQ(traced.output, plain.output);
+        EXPECT_EQ(traced.qualityDb, plain.qualityDb);
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -1,13 +1,14 @@
 /**
  * @file
- * Tests for execution tracing: commit/invocation/error events, the
- * disassembly in trace lines, and the line budget.
+ * Tests for execution tracing: a core runs with no sink attached by
+ * default. What a sink observes is covered by core_writeback_test.cc
+ * (the state at every hook) and event_trace_test.cc (the event trace).
  */
 
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <sstream>
+#include <vector>
 
 #include "isa/assembler.hh"
 #include "machine/backends.hh"
@@ -20,95 +21,25 @@ namespace
 
 using namespace isa;
 
-Program
-tinyProgram()
+TEST(Trace, NullSinkIsDefaultAndFree)
 {
     Assembler a("tiny");
     a.li(R1, 42);
     a.addi(R2, R1, 1);
-    return a.finalize();
-}
 
-struct Harness
-{
     Multicore machine;
-    Core *core = nullptr;
+    Core &core = machine.addCore("t");
+    core.setProgram(a.finalize());
+    machine.addRuntime(
+        core,
+        machine.addBackend(std::make_unique<RawBackend>(
+            std::vector<QueueBase *>{}, std::vector<QueueBase *>{})),
+        1);
 
-    explicit Harness(Program program, Count frames = 1)
-    {
-        core = &machine.addCore("t");
-        core->setProgram(std::move(program));
-        CommBackend &backend = machine.addBackend(
-            std::make_unique<RawBackend>(
-                std::vector<QueueBase *>{},
-                std::vector<QueueBase *>{}));
-        machine.addRuntime(*core, backend, frames);
-    }
-};
-
-TEST(Trace, RecordsCommitsWithDisassembly)
-{
-    Harness h(tinyProgram());
-    std::ostringstream os;
-    TextTracer tracer(os);
-    h.core->setTraceSink(&tracer);
-    ASSERT_TRUE(h.machine.run().completed);
-
-    const std::string text = os.str();
-    EXPECT_NE(text.find("invocation 1"), std::string::npos);
-    EXPECT_NE(text.find("li r1, 42"), std::string::npos);
-    EXPECT_NE(text.find("addi r2, r1, 1"), std::string::npos);
-    EXPECT_NE(text.find("halt"), std::string::npos);
-    EXPECT_EQ(tracer.commitsSeen(), 3u);  // li, addi, halt.
-}
-
-TEST(Trace, LineBudgetSilencesLongRuns)
-{
-    Assembler a("loop");
-    a.forDown(R1, 100, [&] { a.addi(R2, R2, 1); });
-    Harness h(a.finalize());
-
-    std::ostringstream os;
-    TextTracer tracer(os, 10);
-    h.core->setTraceSink(&tracer);
-    ASSERT_TRUE(h.machine.run().completed);
-
-    EXPECT_NE(os.str().find("trace line budget reached"),
-              std::string::npos);
-    // All commits are still counted even after output stops.
-    EXPECT_GT(tracer.commitsSeen(), 100u);
-    // Output stays bounded: ~11 instruction lines + banner lines.
-    EXPECT_LT(os.str().size(), 800u);
-}
-
-TEST(Trace, RecordsInjectedErrors)
-{
-    Assembler a("spin");
-    a.forDown(R1, 5000, [&] { a.addi(R2, R2, 1); });
-    Harness h(a.finalize());
-
-    ErrorInjector::Config config;
-    config.enabled = true;
-    config.mtbe = 500;
-    config.seed = 4;
-    h.core->configureInjector(config);
-
-    std::ostringstream os;
-    TextTracer tracer(os, 20);
-    h.core->setTraceSink(&tracer);
-    ASSERT_TRUE(h.machine.run().completed);
-
-    EXPECT_GT(tracer.errorsSeen(), 5u);
-    EXPECT_EQ(tracer.errorsSeen(),
-              h.core->injector().errorsInjected());
-}
-
-TEST(Trace, NullSinkIsDefaultAndFree)
-{
-    Harness h(tinyProgram());
     // No sink attached: simply runs.
-    ASSERT_TRUE(h.machine.run().completed);
-    EXPECT_EQ(h.core->counters().committedInsts, 3u);
+    EXPECT_EQ(core.traceSink(), nullptr);
+    ASSERT_TRUE(machine.run().completed);
+    EXPECT_EQ(core.counters().committedInsts, 3u);  // li, addi, halt.
 }
 
 } // namespace

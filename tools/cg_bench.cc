@@ -91,8 +91,7 @@ usage(std::ostream &out, int code)
            "\n"
            "environment: CG_QUICK CG_JOBS CG_CSV CG_JSON CG_JSONL "
            "CG_MODE CG_TRACE_EVENTS CG_TELEMETRY_SLICES "
-           "CG_TELEMETRY_OUT CG_BOARD CG_SERVICE_FRAMES "
-           "CG_SERVICE_SNAPSHOT_FRAMES\n";
+           "CG_TELEMETRY_OUT CG_BOARD\n";
     return code;
 }
 
@@ -248,7 +247,7 @@ cmdRun(const std::vector<std::string> &raw_args)
     return 0;
 }
 
-/** Strict decimal Count parse for serve-run flags and CG_SERVICE_*. */
+/** Strict decimal Count parse for serve-run flags. */
 bool
 parseCount(const std::string &text, Count *out)
 {
@@ -304,23 +303,6 @@ cmdServeRun(const std::vector<std::string> &args)
     double mtbe = 128'000.0;
     std::vector<double> per_core_mtbe;
     std::string out_path;
-
-    // Environment defaults first (docs/SERVICE.md); flags override.
-    const auto env_count = [&bad](const char *key, Count *out) {
-        const char *value = std::getenv(key);
-        if (value == nullptr || *value == '\0')
-            return 0;
-        if (!parseCount(value, out) || *out == 0)
-            return bad(std::string("invalid ") + key + " value '" +
-                       value + "' (expected a decimal integer >= 1)");
-        return 0;
-    };
-    if (int code = env_count("CG_SERVICE_FRAMES", &frames); code != 0)
-        return code;
-    if (int code = env_count("CG_SERVICE_SNAPSHOT_FRAMES",
-                             &config.snapshotEveryFrames);
-        code != 0)
-        return code;
 
     for (const std::string &arg : args) {
         const auto value_of = [&arg](const char *prefix) {
@@ -473,10 +455,6 @@ cmdServeRun(const std::vector<std::string> &args)
 int
 main(int argc, char **argv)
 {
-    // Tool-specific knobs, registered before the strict env scan.
-    sim::allowEnvKey("CG_SERVICE_FRAMES");
-    sim::allowEnvKey("CG_SERVICE_SNAPSHOT_FRAMES");
-
     // Validate the CG_* environment up front so a typo'd knob is
     // fatal on every subcommand, not just the ones that read it.
     (void)sim::EnvOptions::get();
