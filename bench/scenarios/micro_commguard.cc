@@ -125,8 +125,10 @@ BM_HeaderInsertion(benchmark::State &state)
     std::vector<QueueManager> qms;
     qms.reserve(ports);
     for (int i = 0; i < ports; ++i) {
-        queues.push_back(std::make_unique<WorkingSetQueue>(
-            "q" + std::to_string(i), 1024));
+        std::string name = "q";
+        name += std::to_string(i);
+        queues.push_back(
+            std::make_unique<WorkingSetQueue>(std::move(name), 1024));
         qms.emplace_back(*queues[i], counters);
     }
     std::vector<QueueManager *> qm_ptrs;

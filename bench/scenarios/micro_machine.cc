@@ -2,8 +2,8 @@
  * @file
  * Google-benchmark micro suite for the functional simulator itself:
  * interpreter throughput per opcode class — ALU, floating point,
- * branch, load/store, queue push/pop — and on a real kernel (IDCT),
- * plus the cost of error
+ * branch, load/store, queue push/pop (raw and behind CommGuard) — and
+ * on a real kernel (IDCT), plus the cost of error
  * injection. Simulated instructions per second determine how fast the
  * figure sweeps run. Registers as scenario
  * `micro_machine`; its benchmarks are selected by the BM_Interpreter
@@ -12,6 +12,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <iostream>
 #include <memory>
 
@@ -116,10 +117,28 @@ queueLoop()
     return a.finalize();
 }
 
+/** Data items carrying @p values. */
+std::vector<QueueWord>
+items(const std::vector<Word> &values)
+{
+    std::vector<QueueWord> words;
+    for (Word w : values)
+        words.push_back(makeItem(w));
+    return words;
+}
+
+/**
+ * Time 16 invocations of @p program fed by @p input, on a RawBackend
+ * or, with @p commguard, on a CommGuardBackend.
+ */
 void
 runProgramBench(benchmark::State &state, Program program,
-                bool inject, std::vector<Word> input = {})
+                bool inject, std::vector<QueueWord> input = {},
+                bool commguard = false)
 {
+    const auto input_items = static_cast<Count>(
+        std::count_if(input.begin(), input.end(),
+                      [](const QueueWord &w) { return !w.isHeader; }));
     for (auto _ : state) {
         state.PauseTiming();
         Multicore machine;
@@ -127,11 +146,8 @@ runProgramBench(benchmark::State &state, Program program,
         std::vector<QueueBase *> ins;
         std::vector<QueueBase *> outs;
         if (program.numInPorts > 0) {
-            std::vector<QueueWord> words;
-            for (Word w : input)
-                words.push_back(makeItem(w));
             ins.push_back(&machine.addQueue(
-                std::make_unique<SourceQueue>("in", words)));
+                std::make_unique<SourceQueue>("in", input)));
         }
         if (program.numOutPorts > 0) {
             outs.push_back(&machine.addQueue(
@@ -145,12 +161,23 @@ runProgramBench(benchmark::State &state, Program program,
             config.seed = 1;
             core.configureInjector(config);
         }
-        CommBackend &backend = machine.addBackend(
-            std::make_unique<RawBackend>(ins, outs));
+        std::unique_ptr<CommBackend> made;
+        if (commguard)
+            made = std::make_unique<CommGuardBackend>(ins, outs);
+        else
+            made = std::make_unique<RawBackend>(ins, outs);
+        CommBackend &backend = machine.addBackend(std::move(made));
         machine.addRuntime(core, backend, 16);
         state.ResumeTiming();
 
         machine.run();
+        if (commguard && static_cast<CommGuardBackend &>(backend)
+                                 .counters()
+                                 .acceptedItems != input_items) {
+            // Every item must reach the program: no pad, no discard.
+            state.SkipWithError("CommGuard run did not stay aligned");
+            break;
+        }
         state.counters["sim_insts_per_s"] = benchmark::Counter(
             static_cast<double>(core.counters().committedInsts),
             benchmark::Counter::kIsIterationInvariantRate);
@@ -193,7 +220,7 @@ BM_InterpreterIdctKernel(benchmark::State &state)
     for (int i = 0; i < 64 * 16; ++i)
         input.push_back(floatToWord(static_cast<float>(i % 64)));
     runProgramBench(state, kernels::buildIdct8x8(1), false,
-                    std::move(input));
+                    items(input));
 }
 BENCHMARK(BM_InterpreterIdctKernel)->Unit(benchmark::kMicrosecond);
 
@@ -211,9 +238,27 @@ BM_InterpreterQueueLoop(benchmark::State &state)
     std::vector<Word> input(16 * 1024);
     for (std::size_t i = 0; i < input.size(); ++i)
         input[i] = static_cast<Word>(i);
-    runProgramBench(state, queueLoop(), false, std::move(input));
+    runProgramBench(state, queueLoop(), false, items(input));
 }
 BENCHMARK(BM_InterpreterQueueLoop)->Unit(benchmark::kMicrosecond);
+
+void
+BM_InterpreterQueueLoopCommGuard(benchmark::State &state)
+{
+    // The same loop behind CommGuard: a header opens each 1,024-item
+    // frame, so every pop crosses the alignment manager and every push
+    // the output queue manager; each invocation starts a frame and
+    // inserts its header into the collector.
+    std::vector<QueueWord> input;
+    for (FrameId frame = 1; frame <= 16; ++frame) {
+        input.push_back(makeHeader(frame));
+        for (Word i = 0; i < 1024; ++i)
+            input.push_back(makeItem(i));
+    }
+    runProgramBench(state, queueLoop(), false, std::move(input), true);
+}
+BENCHMARK(BM_InterpreterQueueLoopCommGuard)
+    ->Unit(benchmark::kMicrosecond);
 
 void
 runScenario(sim::ScenarioContext &ctx)

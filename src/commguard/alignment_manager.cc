@@ -16,27 +16,6 @@ amStateName(AmState state)
     }
 }
 
-namespace
-{
-
-/** Header classification relative to the local active-fc. */
-enum class HeaderKind { Past, Correct, Future };
-
-HeaderKind
-classify(FrameId id, FrameId active_fc)
-{
-    // The end-of-computation marker compares as an infinitely-future
-    // frame: the producer is done, so the consumer pads out its
-    // remaining frame computations.
-    if (id == endOfComputationId || id > active_fc)
-        return HeaderKind::Future;
-    if (id == active_fc)
-        return HeaderKind::Correct;
-    return HeaderKind::Past;
-}
-
-} // namespace
-
 void
 AlignmentManager::onNewFrameComputation(FrameId active_fc)
 {
@@ -61,116 +40,6 @@ AlignmentManager::onNewFrameComputation(FrameId active_fc)
         // No transition listed in Table 1: the realignment in progress
         // continues; header comparisons below use the new active-fc.
         break;
-    }
-}
-
-AmPopResult
-AlignmentManager::onPop(QueueManager &qm, FrameId active_fc)
-{
-    // Each iteration consumes at most one queued word; the loop ends by
-    // delivering an item, delivering padding, or blocking on an empty
-    // queue (Table 2: "while FSM not DONE").
-    while (true) {
-        fsmOp();
-
-        // Stage profiling: one occupancy tick per FSM evaluation,
-        // bucketed by the state the FSM was in when the pop arrived.
-        _counters.amStateOccupancy.add(static_cast<std::size_t>(_state));
-
-        if (_state == AmState::Pdg) {
-            // Table 2: "if FSM-check not Pdg do ..." -- in Pdg the pop
-            // request is answered with a 0 without touching the queue.
-            ++_counters.paddedItems;
-            return {AmPopResult::Kind::Pad, 0};
-        }
-
-        QueueWord word;
-        if (qm.pop(word) == QueueOpStatus::Blocked)
-            return {AmPopResult::Kind::Blocked, 0};
-
-        if (!word.isHeader) {
-            switch (_state) {
-              case AmState::RcvCmp:
-                // Normal delivery.
-                ++_counters.acceptedItems;
-                return {AmPopResult::Kind::Item, word.value};
-              case AmState::ExpHdr:
-                // Table 1: ExpHdr, "Received item or past header" ->
-                // DiscFr. The offending item is discarded.
-                _state = AmState::DiscFr;
-                ++_counters.discardedItems;
-                continue;
-              case AmState::DiscFr:
-              case AmState::Disc:
-                ++_counters.discardedItems;
-                continue;
-              default:
-                continue;
-            }
-        }
-
-        // A header: ECC-check and compare with the frame progress.
-        const FrameId id = qm.checkHeader(word);
-        const HeaderKind kind = classify(id, active_fc);
-
-        switch (_state) {
-          case AmState::RcvCmp:
-            if (kind == HeaderKind::Future) {
-                // Table 1: RcvCmp, "Received future header" -> Pdg.
-                _pendingHeader = id;
-                _state = AmState::Pdg;
-            } else {
-                // Table 1: RcvCmp, "Received past header" -> Disc.
-                // (A duplicate header of the current frame is treated
-                // the same way; it cannot arise from reliable HIs.)
-                _state = AmState::Disc;
-                ++_counters.discardedHeaders;
-            }
-            continue;
-
-          case AmState::ExpHdr:
-            if (kind == HeaderKind::Correct) {
-                // Table 1: ExpHdr, "Received correct header" -> RcvCmp.
-                _state = AmState::RcvCmp;
-            } else if (kind == HeaderKind::Future) {
-                // Table 1: ExpHdr, "Received future header" -> Pdg.
-                _pendingHeader = id;
-                _state = AmState::Pdg;
-            } else {
-                // Table 1: ExpHdr, "Received ... past header" -> DiscFr.
-                _state = AmState::DiscFr;
-                ++_counters.discardedHeaders;
-            }
-            continue;
-
-          case AmState::DiscFr:
-            if (kind == HeaderKind::Correct) {
-                // Table 1: DiscFr, "Received correct header" -> RcvCmp.
-                _state = AmState::RcvCmp;
-            } else if (kind == HeaderKind::Future) {
-                // Table 1: DiscFr, "Received future header" -> Pdg.
-                _pendingHeader = id;
-                _state = AmState::Pdg;
-            } else {
-                ++_counters.discardedHeaders;
-            }
-            continue;
-
-          case AmState::Disc:
-            if (kind == HeaderKind::Future) {
-                // Table 1: Disc, "Received future header" -> Pdg.
-                _pendingHeader = id;
-                _state = AmState::Pdg;
-            } else {
-                // Past and current headers are discarded with their
-                // frames; Disc resolves only on a future header.
-                ++_counters.discardedHeaders;
-            }
-            continue;
-
-          default:
-            continue;
-        }
     }
 }
 

@@ -62,13 +62,14 @@ CommGuardBackend::CommGuardBackend(std::vector<QueueBase *> ins,
                                    std::vector<Count> in_scales,
                                    std::vector<Count> out_scales,
                                    std::vector<bool> in_guarded)
-    : _inGuarded(std::move(in_guarded)), _fallbackFc(1, &_counters)
+    : _inGuarded(in_guarded.begin(), in_guarded.end()),
+      _fallbackFc(1, &_counters)
 {
     if (in_scales.size() != ins.size() ||
         out_scales.size() != outs.size())
         panic("CommGuardBackend: per-edge scale count mismatch");
     if (_inGuarded.empty())
-        _inGuarded.assign(ins.size(), true);
+        _inGuarded.assign(ins.size(), 1);
     if (_inGuarded.size() != ins.size())
         panic("CommGuardBackend: per-edge guard count mismatch");
 

@@ -23,6 +23,7 @@
 #ifndef COMMGUARD_MACHINE_BACKENDS_HH
 #define COMMGUARD_MACHINE_BACKENDS_HH
 
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -140,7 +141,8 @@ class CommGuardBackend : public CommBackend
     std::vector<QueueManager> _inQms;
     std::vector<QueueManager> _outQms;
     std::vector<AlignmentManager> _ams;
-    std::vector<bool> _inGuarded;
+    /** Per input edge: guarded. Bytes, not bits: pop() reads it. */
+    std::vector<std::uint8_t> _inGuarded;
 
     // Redundant active-fc counters, one per frame domain touched by
     // this core (here: one per port; uniform scales tick in lockstep).

@@ -2,7 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
+#include <cstddef>
+#include <iterator>
 
 #include "common/logging.hh"
 
@@ -30,6 +31,16 @@ Core::setProgram(isa::Program program)
         panic("core " + _name + ": program " + program.name +
               " needs 1.." + std::to_string(isa::maxMemWords) +
               " memory words, has " + std::to_string(program.memWords));
+    // run() trusts the code: it dispatches on the opcode byte through a
+    // table, indexes the register file by the register fields and jumps
+    // to branch targets unchecked, and falls through to pc + 1.
+    const isa::ValidationResult valid = isa::validate(program);
+    if (!valid.ok)
+        panic("core " + _name + ": " + valid.message);
+    if (program.code.empty() || (program.code.back().op != Op::Halt &&
+                                 program.code.back().op != Op::Jmp))
+        panic("core " + _name + ": program " + program.name +
+              " runs past its last instruction");
     _program = std::move(program);
     // Core-local memory is the largest per-run allocation (512 KiB at
     // the default memWords); acquiring it from the per-worker pool
@@ -267,13 +278,40 @@ Core::run(Count max_steps)
     if (_backend == nullptr)
         panic("core " + _name + " has no communication backend");
 
-    // Hot-loop locals: the program, memory, and their sizes are fixed
-    // for the whole slice, so keep them out of member-load territory.
-    // setProgram() bounds memWords to [1, 2^32 - 1], so the 32-bit
-    // remainder below equals the full-width one.
+    // Threaded dispatch: one handler address per opcode, in Op order.
+    // setProgram() admits only validated programs, so every opcode
+    // byte indexes this table. Run-ending instructions share the one
+    // exit into the run-ending switch below.
+    static const void *const dispatch[] = {
+        &&op_nop,  &&run_ends,  // Nop, Halt
+        &&op_li,
+        &&op_add,  &&op_sub,  &&op_mul,  &&op_divu, &&op_divs, &&op_remu,
+        &&op_and,  &&op_or,   &&op_xor,  &&op_sll,  &&op_srl,  &&op_sra,
+        &&op_slt,  &&op_sltu,
+        &&op_addi, &&op_andi, &&op_ori,  &&op_xori, &&op_slli, &&op_srli,
+        &&op_srai,
+        &&op_fadd, &&op_fsub, &&op_fmul, &&op_fdiv, &&op_fsqrt,
+        &&op_fabs, &&op_fneg, &&op_fmin, &&op_fmax,
+        &&op_cvtif, &&op_cvtfi,
+        &&op_feq,  &&op_flt,  &&op_fle,
+        &&op_beq,  &&op_bne,  &&op_blt,  &&op_bge,  &&op_bltu, &&op_bgeu,
+        &&op_jmp,
+        &&op_lw,   &&op_sw,
+        &&run_ends, &&run_ends,  // Push, Pop
+        &&run_ends, &&run_ends,  // ScopeEnter, ScopeExit
+    };
+    static_assert(std::size(dispatch) ==
+                  static_cast<std::size_t>(Op::NumOps));
+
+    // Hot-loop locals: the program, memory, their sizes and the store
+    // journal switch are fixed for the whole slice, so keep them out of
+    // member-load territory. setProgram() bounds memWords to
+    // [1, 2^32 - 1], so the 32-bit remainder below equals the
+    // full-width one.
     const Inst *const code = _program.code.data();
     Word *const mem = _memory.data();
     const Word mem_words = static_cast<Word>(_memory.size());
+    const bool journal_stores = _journalStores;
 
     // The hot state lives in locals for the whole slice; writeBack()
     // publishes it before every call out of the loop and every return.
@@ -319,320 +357,292 @@ Core::run(Count max_steps)
         // per-commit check could fire (slice end, watchdog, scheduled
         // error). Right after a nested trip the forced ScopeExit still
         // executes before the next check, even past an outer limit.
+        // Every term is at least 1, so the run's first instruction
+        // needs no check.
         const Count room = hot.insts < limit ? limit - hot.insts : 1;
         const Count budget =
             std::min({max_steps - hot.executed, room, hot.countdown});
 
         // The run: straight-line instructions until the budget is spent
         // or a run-ending instruction comes up. Its only bookkeeping is
-        // pc, the run length and the memory-op counts, all scalars
-        // (folding through HotState here costs vector shuffles per
-        // instruction in GCC 12's code). A taken branch sets pc and
-        // continues; every other instruction leaves the switch for the
-        // one latch that advances pc and counts it, so a case body
-        // jumps straight to the latch (DESIGN.md §6b).
-        Count pc = hot.pc;
+        // the cursor, the run length and the memory-op counts, all
+        // scalars (folding through HotState here costs vector shuffles
+        // per instruction in GCC 12's code). Every handler ends in its
+        // own latch: move the cursor (a taken branch sets it to the
+        // target), count, stop at the budget, and dispatch the next
+        // opcode (DESIGN.md §6b).
+        const Inst *ip = code + hot.pc;
         Count n = 0;
         Count loads = 0;
         Count stores = 0;
         bool ends_run = false;
-        for (; n != budget; ++n) {
-            const Inst &inst = code[pc];
-            switch (inst.op) {
-              case Op::Nop:
-                break;
 
-              case Op::Li:
-                _regs.write(inst.rd, inst.imm);
-                break;
+// The empty asm emits nothing; its distinct operand keeps GCC's
+// cross-jumping from merging the handlers' identical latches back into
+// one shared dispatch jump, as it does at -O2 and -O3.
+#define CG_DISPATCH()                                                   \
+    do {                                                                \
+        asm volatile("" : : "n"(__COUNTER__));                          \
+        goto *dispatch[static_cast<std::size_t>(ip->op)];               \
+    } while (0)
+#define CG_GOTO(next)                                                   \
+    do {                                                                \
+        ip = (next);                                                    \
+        if (++n == budget) [[unlikely]]                                 \
+            goto run_done;                                              \
+        CG_DISPATCH();                                                  \
+    } while (0)
+#define CG_NEXT() CG_GOTO(ip + 1)
+#define CG_BRANCH(taken) CG_GOTO((taken) ? code + ip->target : ip + 1)
 
-              // ------------------------------------------------------
-              // Integer ALU.
-              // ------------------------------------------------------
-              case Op::Add:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) + _regs.read(inst.rs2));
-                break;
-              case Op::Sub:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) - _regs.read(inst.rs2));
-                break;
-              case Op::Mul:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) * _regs.read(inst.rs2));
-                break;
-              case Op::Divu: {
-                const Word den = _regs.read(inst.rs2);
-                // PPU contract: divide-by-zero yields a benign 0.
-                _regs.write(inst.rd,
-                            den ? _regs.read(inst.rs1) / den : 0);
-                break;
-              }
-              case Op::Divs: {
-                const SWord num = static_cast<SWord>(_regs.read(inst.rs1));
-                const SWord den = static_cast<SWord>(_regs.read(inst.rs2));
-                SWord result = 0;
-                if (den != 0) {
-                    // Avoid the INT_MIN / -1 overflow trap.
-                    result = static_cast<SWord>(
-                        static_cast<std::int64_t>(num) / den);
-                }
-                _regs.write(inst.rd, static_cast<Word>(result));
-                break;
-              }
-              case Op::Remu: {
-                const Word den = _regs.read(inst.rs2);
-                _regs.write(inst.rd,
-                            den ? _regs.read(inst.rs1) % den : 0);
-                break;
-              }
-              case Op::And:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) & _regs.read(inst.rs2));
-                break;
-              case Op::Or:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) | _regs.read(inst.rs2));
-                break;
-              case Op::Xor:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) ^ _regs.read(inst.rs2));
-                break;
-              case Op::Sll:
-                _regs.write(inst.rd, _regs.read(inst.rs1)
-                                         << (_regs.read(inst.rs2) & 31));
-                break;
-              case Op::Srl:
-                _regs.write(inst.rd, _regs.read(inst.rs1) >>
-                                         (_regs.read(inst.rs2) & 31));
-                break;
-              case Op::Sra:
-                _regs.write(
-                    inst.rd,
-                    static_cast<Word>(
-                        static_cast<SWord>(_regs.read(inst.rs1)) >>
-                        (_regs.read(inst.rs2) & 31)));
-                break;
-              case Op::Slt:
-                _regs.write(
-                    inst.rd,
-                    static_cast<SWord>(_regs.read(inst.rs1)) <
-                            static_cast<SWord>(_regs.read(inst.rs2))
-                        ? 1
-                        : 0);
-                break;
-              case Op::Sltu:
-                _regs.write(inst.rd,
-                            _regs.read(inst.rs1) < _regs.read(inst.rs2)
-                                ? 1 : 0);
-                break;
+        CG_DISPATCH();
 
-              case Op::Addi:
-                _regs.write(inst.rd, _regs.read(inst.rs1) + inst.imm);
-                break;
-              case Op::Andi:
-                _regs.write(inst.rd, _regs.read(inst.rs1) & inst.imm);
-                break;
-              case Op::Ori:
-                _regs.write(inst.rd, _regs.read(inst.rs1) | inst.imm);
-                break;
-              case Op::Xori:
-                _regs.write(inst.rd, _regs.read(inst.rs1) ^ inst.imm);
-                break;
-              case Op::Slli:
-                _regs.write(inst.rd, _regs.read(inst.rs1)
-                                         << (inst.imm & 31));
-                break;
-              case Op::Srli:
-                _regs.write(inst.rd, _regs.read(inst.rs1) >>
-                                         (inst.imm & 31));
-                break;
-              case Op::Srai:
-                _regs.write(
-                    inst.rd,
-                    static_cast<Word>(
-                        static_cast<SWord>(_regs.read(inst.rs1)) >>
-                        (inst.imm & 31)));
-                break;
+      op_nop:
+        CG_NEXT();
 
-              // ------------------------------------------------------
-              // Floating point.
-              // ------------------------------------------------------
-              case Op::Fadd:
-                _regs.write(
-                    inst.rd,
-                    floatToWord(wordToFloat(_regs.read(inst.rs1)) +
-                                wordToFloat(_regs.read(inst.rs2))));
-                break;
-              case Op::Fsub:
-                _regs.write(
-                    inst.rd,
-                    floatToWord(wordToFloat(_regs.read(inst.rs1)) -
-                                wordToFloat(_regs.read(inst.rs2))));
-                break;
-              case Op::Fmul:
-                _regs.write(
-                    inst.rd,
-                    floatToWord(wordToFloat(_regs.read(inst.rs1)) *
-                                wordToFloat(_regs.read(inst.rs2))));
-                break;
-              case Op::Fdiv:
-                _regs.write(
-                    inst.rd,
-                    floatToWord(wordToFloat(_regs.read(inst.rs1)) /
-                                wordToFloat(_regs.read(inst.rs2))));
-                break;
-              case Op::Fsqrt: {
-                const float x = wordToFloat(_regs.read(inst.rs1));
-                // PPU contract: sqrt of a negative yields 0, not a trap.
-                _regs.write(inst.rd,
-                            floatToWord(x >= 0.0f ? std::sqrt(x) : 0.0f));
-                break;
-              }
-              case Op::Fabs:
-                _regs.write(inst.rd,
-                            floatToWord(std::fabs(
-                                wordToFloat(_regs.read(inst.rs1)))));
-                break;
-              case Op::Fneg:
-                _regs.write(
-                    inst.rd,
-                    floatToWord(-wordToFloat(_regs.read(inst.rs1))));
-                break;
-              case Op::Fmin:
-                _regs.write(inst.rd,
-                            floatToWord(isa::isaFmin(
-                                wordToFloat(_regs.read(inst.rs1)),
-                                wordToFloat(_regs.read(inst.rs2)))));
-                break;
-              case Op::Fmax:
-                _regs.write(inst.rd,
-                            floatToWord(isa::isaFmax(
-                                wordToFloat(_regs.read(inst.rs1)),
-                                wordToFloat(_regs.read(inst.rs2)))));
-                break;
-              case Op::Cvtif:
-                _regs.write(inst.rd,
-                            floatToWord(static_cast<float>(
-                                static_cast<SWord>(
-                                    _regs.read(inst.rs1)))));
-                break;
-              case Op::Cvtfi: {
-                const float x = wordToFloat(_regs.read(inst.rs1));
-                SWord result = 0;
-                // PPU contract: invalid conversions yield a benign 0.
-                if (std::isfinite(x) && x >= -2147483648.0f &&
-                    x <= 2147483520.0f) {
-                    result = static_cast<SWord>(x);
-                }
-                _regs.write(inst.rd, static_cast<Word>(result));
-                break;
-              }
-              case Op::Feq:
-                _regs.write(inst.rd,
-                            wordToFloat(_regs.read(inst.rs1)) ==
-                                    wordToFloat(_regs.read(inst.rs2))
-                                ? 1 : 0);
-                break;
-              case Op::Flt:
-                _regs.write(inst.rd,
-                            wordToFloat(_regs.read(inst.rs1)) <
-                                    wordToFloat(_regs.read(inst.rs2))
-                                ? 1 : 0);
-                break;
-              case Op::Fle:
-                _regs.write(inst.rd,
-                            wordToFloat(_regs.read(inst.rs1)) <=
-                                    wordToFloat(_regs.read(inst.rs2))
-                                ? 1 : 0);
-                break;
+      op_li:
+        _regs.write(ip->rd, ip->imm);
+        CG_NEXT();
 
-              // ------------------------------------------------------
-              // Control flow.
-              // ------------------------------------------------------
-              case Op::Jmp:
-                pc = static_cast<Count>(inst.target);
-                continue;
-              case Op::Beq:
-                if (_regs.read(inst.rs1) == _regs.read(inst.rs2)) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-              case Op::Bne:
-                if (_regs.read(inst.rs1) != _regs.read(inst.rs2)) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-              case Op::Blt:
-                if (static_cast<SWord>(_regs.read(inst.rs1)) <
-                    static_cast<SWord>(_regs.read(inst.rs2))) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-              case Op::Bge:
-                if (static_cast<SWord>(_regs.read(inst.rs1)) >=
-                    static_cast<SWord>(_regs.read(inst.rs2))) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-              case Op::Bltu:
-                if (_regs.read(inst.rs1) < _regs.read(inst.rs2)) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-              case Op::Bgeu:
-                if (_regs.read(inst.rs1) >= _regs.read(inst.rs2)) {
-                    pc = static_cast<Count>(inst.target);
-                    continue;
-                }
-                break;
-
-              // ------------------------------------------------------
-              // Memory (addresses wrap: the PPU never faults).
-              // ------------------------------------------------------
-              case Op::Lw: {
-                const Word addr =
-                    (_regs.read(inst.rs1) + inst.imm) % mem_words;
-                _regs.write(inst.rd, mem[addr]);
-                ++loads;
-                break;
-              }
-              case Op::Sw: {
-                const Word addr =
-                    (_regs.read(inst.rs1) + inst.imm) % mem_words;
-                if (_journalStores) [[unlikely]]
-                    _storeJournal.emplace_back(addr, mem[addr]);
-                mem[addr] = _regs.read(inst.rs2);
-                ++stores;
-                break;
-              }
-
-              default:
-                // Halt, queue and scope instructions (and invalid
-                // opcodes) end the run before they execute.
-                ends_run = true;
-                break;
-            }
-            if (ends_run)
-                break;
-            ++pc;
+        // ----------------------------------------------------------
+        // Integer ALU.
+        // ----------------------------------------------------------
+      op_add:
+        _regs.write(ip->rd, _regs.read(ip->rs1) + _regs.read(ip->rs2));
+        CG_NEXT();
+      op_sub:
+        _regs.write(ip->rd, _regs.read(ip->rs1) - _regs.read(ip->rs2));
+        CG_NEXT();
+      op_mul:
+        _regs.write(ip->rd, _regs.read(ip->rs1) * _regs.read(ip->rs2));
+        CG_NEXT();
+      op_divu: {
+        const Word den = _regs.read(ip->rs2);
+        // PPU contract: divide-by-zero yields a benign 0.
+        _regs.write(ip->rd, den ? _regs.read(ip->rs1) / den : 0);
+        CG_NEXT();
+      }
+      op_divs: {
+        const SWord num = static_cast<SWord>(_regs.read(ip->rs1));
+        const SWord den = static_cast<SWord>(_regs.read(ip->rs2));
+        SWord result = 0;
+        if (den != 0) {
+            // Avoid the INT_MIN / -1 overflow trap.
+            result = static_cast<SWord>(
+                static_cast<std::int64_t>(num) / den);
         }
+        _regs.write(ip->rd, static_cast<Word>(result));
+        CG_NEXT();
+      }
+      op_remu: {
+        const Word den = _regs.read(ip->rs2);
+        _regs.write(ip->rd, den ? _regs.read(ip->rs1) % den : 0);
+        CG_NEXT();
+      }
+      op_and:
+        _regs.write(ip->rd, _regs.read(ip->rs1) & _regs.read(ip->rs2));
+        CG_NEXT();
+      op_or:
+        _regs.write(ip->rd, _regs.read(ip->rs1) | _regs.read(ip->rs2));
+        CG_NEXT();
+      op_xor:
+        _regs.write(ip->rd, _regs.read(ip->rs1) ^ _regs.read(ip->rs2));
+        CG_NEXT();
+      op_sll:
+        _regs.write(ip->rd, _regs.read(ip->rs1)
+                                << (_regs.read(ip->rs2) & 31));
+        CG_NEXT();
+      op_srl:
+        _regs.write(ip->rd, _regs.read(ip->rs1) >>
+                                (_regs.read(ip->rs2) & 31));
+        CG_NEXT();
+      op_sra:
+        _regs.write(ip->rd,
+                    static_cast<Word>(
+                        static_cast<SWord>(_regs.read(ip->rs1)) >>
+                        (_regs.read(ip->rs2) & 31)));
+        CG_NEXT();
+      op_slt:
+        _regs.write(ip->rd,
+                    static_cast<SWord>(_regs.read(ip->rs1)) <
+                            static_cast<SWord>(_regs.read(ip->rs2))
+                        ? 1 : 0);
+        CG_NEXT();
+      op_sltu:
+        _regs.write(ip->rd,
+                    _regs.read(ip->rs1) < _regs.read(ip->rs2) ? 1 : 0);
+        CG_NEXT();
 
+      op_addi:
+        _regs.write(ip->rd, _regs.read(ip->rs1) + ip->imm);
+        CG_NEXT();
+      op_andi:
+        _regs.write(ip->rd, _regs.read(ip->rs1) & ip->imm);
+        CG_NEXT();
+      op_ori:
+        _regs.write(ip->rd, _regs.read(ip->rs1) | ip->imm);
+        CG_NEXT();
+      op_xori:
+        _regs.write(ip->rd, _regs.read(ip->rs1) ^ ip->imm);
+        CG_NEXT();
+      op_slli:
+        _regs.write(ip->rd, _regs.read(ip->rs1) << (ip->imm & 31));
+        CG_NEXT();
+      op_srli:
+        _regs.write(ip->rd, _regs.read(ip->rs1) >> (ip->imm & 31));
+        CG_NEXT();
+      op_srai:
+        _regs.write(ip->rd,
+                    static_cast<Word>(
+                        static_cast<SWord>(_regs.read(ip->rs1)) >>
+                        (ip->imm & 31)));
+        CG_NEXT();
+
+        // ----------------------------------------------------------
+        // Floating point.
+        // ----------------------------------------------------------
+      op_fadd:
+        _regs.write(ip->rd,
+                    floatToWord(wordToFloat(_regs.read(ip->rs1)) +
+                                wordToFloat(_regs.read(ip->rs2))));
+        CG_NEXT();
+      op_fsub:
+        _regs.write(ip->rd,
+                    floatToWord(wordToFloat(_regs.read(ip->rs1)) -
+                                wordToFloat(_regs.read(ip->rs2))));
+        CG_NEXT();
+      op_fmul:
+        _regs.write(ip->rd,
+                    floatToWord(wordToFloat(_regs.read(ip->rs1)) *
+                                wordToFloat(_regs.read(ip->rs2))));
+        CG_NEXT();
+      op_fdiv:
+        _regs.write(ip->rd,
+                    floatToWord(wordToFloat(_regs.read(ip->rs1)) /
+                                wordToFloat(_regs.read(ip->rs2))));
+        CG_NEXT();
+      op_fsqrt: {
+        const float x = wordToFloat(_regs.read(ip->rs1));
+        // PPU contract: sqrt of a negative yields 0, not a trap.
+        _regs.write(ip->rd, floatToWord(x >= 0.0f ? std::sqrt(x) : 0.0f));
+        CG_NEXT();
+      }
+      op_fabs:
+        _regs.write(ip->rd, floatToWord(std::fabs(
+                                wordToFloat(_regs.read(ip->rs1)))));
+        CG_NEXT();
+      op_fneg:
+        _regs.write(ip->rd,
+                    floatToWord(-wordToFloat(_regs.read(ip->rs1))));
+        CG_NEXT();
+      op_fmin:
+        _regs.write(ip->rd,
+                    floatToWord(isa::isaFmin(
+                        wordToFloat(_regs.read(ip->rs1)),
+                        wordToFloat(_regs.read(ip->rs2)))));
+        CG_NEXT();
+      op_fmax:
+        _regs.write(ip->rd,
+                    floatToWord(isa::isaFmax(
+                        wordToFloat(_regs.read(ip->rs1)),
+                        wordToFloat(_regs.read(ip->rs2)))));
+        CG_NEXT();
+      op_cvtif:
+        _regs.write(ip->rd,
+                    floatToWord(static_cast<float>(
+                        static_cast<SWord>(_regs.read(ip->rs1)))));
+        CG_NEXT();
+      op_cvtfi: {
+        const float x = wordToFloat(_regs.read(ip->rs1));
+        SWord result = 0;
+        // PPU contract: invalid conversions yield a benign 0.
+        if (std::isfinite(x) && x >= -2147483648.0f &&
+            x <= 2147483520.0f) {
+            result = static_cast<SWord>(x);
+        }
+        _regs.write(ip->rd, static_cast<Word>(result));
+        CG_NEXT();
+      }
+      op_feq:
+        _regs.write(ip->rd, wordToFloat(_regs.read(ip->rs1)) ==
+                                    wordToFloat(_regs.read(ip->rs2))
+                                ? 1 : 0);
+        CG_NEXT();
+      op_flt:
+        _regs.write(ip->rd, wordToFloat(_regs.read(ip->rs1)) <
+                                    wordToFloat(_regs.read(ip->rs2))
+                                ? 1 : 0);
+        CG_NEXT();
+      op_fle:
+        _regs.write(ip->rd, wordToFloat(_regs.read(ip->rs1)) <=
+                                    wordToFloat(_regs.read(ip->rs2))
+                                ? 1 : 0);
+        CG_NEXT();
+
+        // ----------------------------------------------------------
+        // Control flow.
+        // ----------------------------------------------------------
+      op_beq:
+        CG_BRANCH(_regs.read(ip->rs1) == _regs.read(ip->rs2));
+      op_bne:
+        CG_BRANCH(_regs.read(ip->rs1) != _regs.read(ip->rs2));
+      op_blt:
+        CG_BRANCH(static_cast<SWord>(_regs.read(ip->rs1)) <
+                  static_cast<SWord>(_regs.read(ip->rs2)));
+      op_bge:
+        CG_BRANCH(static_cast<SWord>(_regs.read(ip->rs1)) >=
+                  static_cast<SWord>(_regs.read(ip->rs2)));
+      op_bltu:
+        CG_BRANCH(_regs.read(ip->rs1) < _regs.read(ip->rs2));
+      op_bgeu:
+        CG_BRANCH(_regs.read(ip->rs1) >= _regs.read(ip->rs2));
+      op_jmp:
+        CG_GOTO(code + ip->target);
+
+        // ----------------------------------------------------------
+        // Memory (addresses wrap: the PPU never faults). An in-range
+        // address is its own remainder, so only an address past the
+        // end pays for the divide.
+        // ----------------------------------------------------------
+      op_lw: {
+        Word addr = _regs.read(ip->rs1) + ip->imm;
+        if (addr >= mem_words) [[unlikely]]
+            addr %= mem_words;
+        _regs.write(ip->rd, mem[addr]);
+        ++loads;
+        CG_NEXT();
+      }
+      op_sw: {
+        Word addr = _regs.read(ip->rs1) + ip->imm;
+        if (addr >= mem_words) [[unlikely]]
+            addr %= mem_words;
+        if (journal_stores) [[unlikely]]
+            _storeJournal.emplace_back(addr, mem[addr]);
+        mem[addr] = _regs.read(ip->rs2);
+        ++stores;
+        CG_NEXT();
+      }
+
+#undef CG_BRANCH
+#undef CG_NEXT
+#undef CG_GOTO
+#undef CG_DISPATCH
+
+      run_ends:
+        // Halt, queue and scope instructions end the run before they
+        // execute.
+        ends_run = true;
+      run_done:
         // Fold the run into the hot state once.
         hot.loads += loads;
         hot.stores += stores;
-        hot.pc = pc;
+        hot.pc = static_cast<Count>(ip - code);
         fold(hot, n, (loads + stores) * _timing.memExtraCycles);
         if (!ends_run)
             continue;
 
         // The run-ending instruction at hot.pc, committed on its own.
-        const Inst &inst = code[hot.pc];
+        const Inst &inst = *ip;
         const Count next_pc = hot.pc + 1;
         switch (inst.op) {
           case Op::Halt:
@@ -725,7 +735,8 @@ Core::run(Count max_steps)
             break;
 
           default:
-            panic("core " + _name + ": invalid opcode");
+            panic("core " + _name + ": " + isa::opName(inst.op) +
+                  " does not end a run");
         }
     }
 

@@ -151,7 +151,11 @@ class Core
      */
     void setMemoryPool(RecyclePool<Word> *pool) { _memoryPool = pool; }
 
-    /** Load the filter program; copies the data segment into memory. */
+    /**
+     * Load the filter program; copies the data segment into memory.
+     * Panics unless isa::validate accepts it and its last instruction
+     * is Halt or Jmp: run() executes the code unchecked.
+     */
     void setProgram(isa::Program program);
 
     /** Attach the communication backend (not owned). */

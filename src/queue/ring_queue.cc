@@ -35,30 +35,4 @@ RingQueue::~RingQueue()
         _recycle->release(std::move(_buffer));
 }
 
-QueueOpStatus
-RingQueue::tryPush(const QueueWord &word)
-{
-    if (size() >= _capacity) {
-        ++_counters.pushBlocked;
-        return QueueOpStatus::Blocked;
-    }
-    _buffer[_tail & _mask] = word;
-    ++_tail;
-    ++_counters.pushes;
-    return QueueOpStatus::Ok;
-}
-
-QueueOpStatus
-RingQueue::tryPop(QueueWord &word)
-{
-    if (size() == 0) {
-        ++_counters.popBlocked;
-        return QueueOpStatus::Blocked;
-    }
-    word = _buffer[_head & _mask];
-    ++_head;
-    ++_counters.pops;
-    return QueueOpStatus::Ok;
-}
-
 } // namespace commguard

@@ -43,8 +43,33 @@ class RingQueue : public QueueBase
 
     ~RingQueue() override;
 
-    QueueOpStatus tryPush(const QueueWord &word) override;
-    QueueOpStatus tryPop(QueueWord &word) override;
+    // Defined here so a derived queue's override (and a caller that
+    // knows the concrete type) inlines them.
+    QueueOpStatus
+    tryPush(const QueueWord &word) override
+    {
+        if (size() >= _capacity) {
+            ++_counters.pushBlocked;
+            return QueueOpStatus::Blocked;
+        }
+        _buffer[_tail & _mask] = word;
+        ++_tail;
+        ++_counters.pushes;
+        return QueueOpStatus::Ok;
+    }
+
+    QueueOpStatus
+    tryPop(QueueWord &word) override
+    {
+        if (size() == 0) {
+            ++_counters.popBlocked;
+            return QueueOpStatus::Blocked;
+        }
+        word = _buffer[_head & _mask];
+        ++_head;
+        ++_counters.pops;
+        return QueueOpStatus::Ok;
+    }
 
     std::size_t
     size() const override

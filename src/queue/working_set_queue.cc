@@ -13,32 +13,4 @@ WorkingSetQueue::WorkingSetQueue(std::string name, std::size_t capacity,
         _worksetWords = 1;
 }
 
-QueueOpStatus
-WorkingSetQueue::tryPush(const QueueWord &word)
-{
-    const QueueOpStatus status = RingQueue::tryPush(word);
-    if (status == QueueOpStatus::Ok) {
-        if (++_pushesInWorkset >= _worksetWords) {
-            _pushesInWorkset = 0;
-            ++_counters.worksetSwitches;
-            _counters.worksetEccOps += eccOpsPerWorksetSwitch;
-        }
-    }
-    return status;
-}
-
-QueueOpStatus
-WorkingSetQueue::tryPop(QueueWord &word)
-{
-    const QueueOpStatus status = RingQueue::tryPop(word);
-    if (status == QueueOpStatus::Ok) {
-        if (++_popsInWorkset >= _worksetWords) {
-            _popsInWorkset = 0;
-            ++_counters.worksetSwitches;
-            _counters.worksetEccOps += eccOpsPerWorksetSwitch;
-        }
-    }
-    return status;
-}
-
 } // namespace commguard

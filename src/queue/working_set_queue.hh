@@ -25,7 +25,7 @@ namespace commguard
 /**
  * Reliable queue with working-set accounting.
  */
-class WorkingSetQueue : public RingQueue
+class WorkingSetQueue final : public RingQueue
 {
   public:
     /** ECC operations per shared-pointer working-set switch (Table 3). */
@@ -40,8 +40,25 @@ class WorkingSetQueue : public RingQueue
                     unsigned sub_regions = 8,
                     RecyclePool<QueueWord> *recycle = nullptr);
 
-    QueueOpStatus tryPush(const QueueWord &word) override;
-    QueueOpStatus tryPop(QueueWord &word) override;
+    // Defined here, on a final class, so the CommGuard queue manager's
+    // pop and push inline the ring and the working-set accounting.
+    QueueOpStatus
+    tryPush(const QueueWord &word) override
+    {
+        const QueueOpStatus status = RingQueue::tryPush(word);
+        if (status == QueueOpStatus::Ok)
+            countWorksetOp(_pushesInWorkset);
+        return status;
+    }
+
+    QueueOpStatus
+    tryPop(QueueWord &word) override
+    {
+        const QueueOpStatus status = RingQueue::tryPop(word);
+        if (status == QueueOpStatus::Ok)
+            countWorksetOp(_popsInWorkset);
+        return status;
+    }
 
     /** Words per working-set sub-region. */
     std::size_t worksetWords() const { return _worksetWords; }
@@ -50,6 +67,20 @@ class WorkingSetQueue : public RingQueue
     Count worksetEccOps() const { return _counters.worksetEccOps; }
 
   private:
+    /**
+     * Count one completed operation on a working set; filling it
+     * switches to the next one through the shared pointers.
+     */
+    void
+    countWorksetOp(std::size_t &ops_in_workset)
+    {
+        if (++ops_in_workset >= _worksetWords) {
+            ops_in_workset = 0;
+            ++_counters.worksetSwitches;
+            _counters.worksetEccOps += eccOpsPerWorksetSwitch;
+        }
+    }
+
     std::size_t _worksetWords;
     std::size_t _pushesInWorkset = 0;
     std::size_t _popsInWorkset = 0;

@@ -107,9 +107,10 @@ makeDoAllGraph()
          chunkSplitProgram});
     NodeId workers[numWorkers];
     for (int w = 0; w < numWorkers; ++w) {
+        std::string name = "W";
+        name += std::to_string(w);
         workers[w] = g.addFilter(
-            {"W" + std::to_string(w), {chunkItems}, {chunkItems},
-             workerProgram});
+            {std::move(name), {chunkItems}, {chunkItems}, workerProgram});
         g.connect(split, w, workers[w], 0);
     }
     const NodeId join = g.addFilter(

@@ -108,6 +108,61 @@ TEST(FatalPaths, CoreRejectsUnvalidatedMemWords)
     EXPECT_DEATH(Core(0, "c").setProgram(p), "memory words");
 }
 
+/** A hand-built program: @p inst, then Halt. */
+Program
+handBuilt(const Inst &inst)
+{
+    Program p;
+    p.name = "hand";
+    p.code.push_back(inst);
+    p.code.push_back(Inst{Op::Halt});
+    return p;
+}
+
+TEST(FatalPaths, CoreRejectsInvalidOpcode)
+{
+    // run() dispatches through a table with one entry per opcode.
+    Inst inst;
+    inst.op = static_cast<Op>(200);
+    EXPECT_DEATH(Core(0, "c").setProgram(handBuilt(inst)),
+                 "invalid opcode");
+}
+
+TEST(FatalPaths, CoreRejectsRegisterIndexOutOfRange)
+{
+    // The register file is a 32-entry array.
+    Inst inst;
+    inst.op = Op::Addi;
+    inst.rd = 40;
+    inst.rs1 = 1;
+    EXPECT_DEATH(Core(0, "c").setProgram(handBuilt(inst)),
+                 "register index out of range");
+}
+
+TEST(FatalPaths, CoreRejectsJumpPastTheEnd)
+{
+    Inst inst;
+    inst.op = Op::Jmp;
+    inst.target = 2;
+    EXPECT_DEATH(Core(0, "c").setProgram(handBuilt(inst)),
+                 "branch target outside code");
+}
+
+TEST(FatalPaths, CoreRejectsCodeThatRunsPastItsEnd)
+{
+    // validate() accepts it; run() would fall through past the last
+    // instruction.
+    Program p;
+    p.name = "tail";
+    Inst inst;
+    inst.op = Op::Li;
+    inst.rd = 1;
+    p.code.push_back(inst);
+    ASSERT_TRUE(validate(p).ok);
+    EXPECT_DEATH(Core(0, "c").setProgram(p),
+                 "runs past its last instruction");
+}
+
 TEST(FatalPaths, UnknownBenchmarkDies)
 {
     EXPECT_EXIT(apps::makeAppByName("quake"),

@@ -27,7 +27,8 @@ makeChain3()
     StreamGraph g;
     NodeId prev = -1;
     for (int i = 0; i < 3; ++i) {
-        const std::string name = "N" + std::to_string(i);
+        std::string name = "N";
+        name += std::to_string(i);
         const NodeId node = g.addFilter(
             {name, {2}, {2}, [name](int firings) {
                  return kernels::buildPassthrough(name, 2, firings);

@@ -275,6 +275,52 @@ TEST_F(InterpTest, MemoryAddressesWrap)
     a.lw(R4, R3, 0);
     Core &core = exec(a.finalize());
     EXPECT_EQ(core.regs().read(R4), 0xabcdu);
+
+    // The boundaries of the wrap, at a power-of-two size and at an odd
+    // one: the last word, one past it, two sizes past it, and the top
+    // of the 32-bit range (through a negative offset). Each address is
+    // stored to and loaded from, and must land on the host's remainder.
+    for (const Word mem_words : {Word{16}, Word{777}}) {
+        struct Case
+        {
+            Word base;
+            SWord offset;
+        };
+        const Case cases[] = {
+            {mem_words - 1, 0},
+            {mem_words, 0},
+            {2 * mem_words + 3, 0},
+            {2, -3},  // 0xFFFFFFFF
+        };
+        Assembler w("wrap");
+        w.setMemWords(mem_words);
+        for (Reg i = 0; i < 4; ++i) {
+            const Case &c = cases[i];
+            const Word host = (c.base + static_cast<Word>(c.offset)) %
+                              mem_words;
+            // Store through the wrapped address, load from the host's.
+            w.li(R1, c.base);
+            w.li(R2, 0x1000 + i);
+            w.sw(R2, R1, c.offset);
+            w.li(R3, host);
+            w.lw(static_cast<Reg>(R10 + i), R3, 0);
+            // Store at the host's address, load through the wrapped one.
+            w.li(R2, 0x2000 + i);
+            w.sw(R2, R3, 0);
+            w.lw(static_cast<Reg>(R20 + i), R1, c.offset);
+        }
+        Core &wrapped = exec(w.finalize());
+        for (Reg i = 0; i < 4; ++i) {
+            SCOPED_TRACE(testing::Message()
+                         << "memWords " << mem_words << ", address "
+                         << cases[i].base +
+                                static_cast<Word>(cases[i].offset));
+            EXPECT_EQ(wrapped.regs().read(static_cast<Reg>(R10 + i)),
+                      0x1000u + i);
+            EXPECT_EQ(wrapped.regs().read(static_cast<Reg>(R20 + i)),
+                      0x2000u + i);
+        }
+    }
 }
 
 TEST_F(InterpTest, NegativeOffsetAddressing)

@@ -38,9 +38,10 @@ makeChain(const std::vector<std::pair<int, int>> &rates)
     StreamGraph g;
     NodeId prev = -1;
     for (std::size_t i = 0; i < rates.size(); ++i) {
+        std::string name = "n";
+        name += std::to_string(i);
         const NodeId node = g.addFilter(
-            filter("n" + std::to_string(i), {rates[i].first},
-                   {rates[i].second}));
+            filter(name, {rates[i].first}, {rates[i].second}));
         if (prev >= 0)
             g.connect(prev, 0, node, 0);
         prev = node;

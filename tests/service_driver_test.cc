@@ -316,7 +316,8 @@ TEST(ServiceDriver, DuplicateFilterNamesCountEveryRepair)
     apps::App app = base;
     app.graph = streamit::StreamGraph();
     for (streamit::FilterSpec filter : base.graph.filters()) {
-        filter.name = "F";
+        filter.name.clear();
+        filter.name += "F";
         app.graph.addFilter(std::move(filter));
     }
     for (const streamit::Edge &edge : base.graph.edges()) {
