@@ -57,6 +57,16 @@ BM_EccDecodeCorrupted(benchmark::State &state)
 BENCHMARK(BM_EccDecodeCorrupted);
 
 void
+BM_EccDecodeUncorrectable(benchmark::State &state)
+{
+    const EccWord code =
+        eccFlipBit(eccFlipBit(eccEncode(0xdeadbeef), 13), 30);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(eccDecode(code));
+}
+BENCHMARK(BM_EccDecodeUncorrectable);
+
+void
 BM_MakeHeader(benchmark::State &state)
 {
     FrameId id = 1;

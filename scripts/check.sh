@@ -2,8 +2,12 @@
 # One-stop local gate: configure, build with every warning an error
 # (the default -Wall -Wextra from the top-level CMakeLists), run the
 # tier-1 test suite in parallel (each test under the TIMEOUT set in
-# tests/CMakeLists.txt), validate the per-run JSONL export schema and
-# the scenario catalogue, and run every scenario once in quick mode:
+# tests/CMakeLists.txt), then build the Release preset (-O3, in
+# build-release/) with every warning an error and run tier-1 on it
+# too, so code that only the optimiser exercises (the interpreter's
+# threaded dispatch) is tested at the level the benchmarks build at.
+# Then validate the per-run JSONL export schema and the scenario
+# catalogue, and run every scenario once in quick mode:
 # scripts/golden.sh runs each non-micro scenario, plus serve-run in
 # every protection mode, against the committed golden digests, and
 # `cg_bench run --tag=micro` runs the rest (then gate on the sweep
@@ -45,6 +49,9 @@ done
 cmake -S . -B "$BUILD_DIR" -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
 cmake --build "$BUILD_DIR" -j "$(nproc)"
 ctest --test-dir "$BUILD_DIR" -L tier1 --output-on-failure -j "$(nproc)"
+cmake --preset release -DCMAKE_COMPILE_WARNING_AS_ERROR=ON
+cmake --build build-release -j "$(nproc)"
+ctest --test-dir build-release -L tier1 --output-on-failure -j "$(nproc)"
 cmake --build "$BUILD_DIR" --target schema_check
 
 CG_BENCH="$BUILD_DIR/tools/cg_bench"

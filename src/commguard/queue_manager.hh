@@ -74,13 +74,16 @@ class QueueManager
     /**
      * ECC-check a received header and return its frame ID (Table 3:
      * "check-ECC: Single-word ECC set/check"). Headers are end-to-end
-     * protected, so decode failures indicate a simulator bug.
+     * protected, so a decode that is not Clean indicates a simulator
+     * bug and panics.
      */
     FrameId
     checkHeader(const QueueWord &header)
     {
         ++_counters.eccChecks;
         const EccDecode decoded = eccDecode(header.ecc);
+        if (decoded.status != EccStatus::Clean) [[unlikely]]
+            headerCheckFailed(header, decoded.status);
         return decoded.data;
     }
 
@@ -88,6 +91,10 @@ class QueueManager
     CgCounters &counters() { return _counters; }
 
   private:
+    /** Out of line, so checkHeader's inlined fast path stays small. */
+    [[noreturn]] static void headerCheckFailed(const QueueWord &header,
+                                               EccStatus status);
+
     QueueBase &_queue;
     CgCounters &_counters;
 };

@@ -1,6 +1,9 @@
 #include "common/ecc.hh"
 
 #include <bit>
+#include <string>
+
+#include "common/logging.hh"
 
 namespace commguard
 {
@@ -15,7 +18,7 @@ namespace
 
 constexpr int kPositions = 39;
 
-bool
+constexpr bool
 isPowerOfTwo(int x)
 {
     return (x & (x - 1)) == 0;
@@ -34,6 +37,53 @@ dataPosition(int data_bit)
             return pos;
     }
     return -1;
+}
+
+// Decode tables. In Hamming numbering the syndrome is the XOR of the
+// positions of the codeword's set bits, and every data bit sits at a
+// fixed position, so both split into one lookup per codeword byte.
+// Container bits above position 38 map to nothing.
+
+constexpr int kBytes = (kPositions + 7) / 8;
+
+struct DecodeTables
+{
+    /** XOR of the positions (1..38) of the byte's set bits. */
+    std::uint8_t syndrome[kBytes][256] = {};
+    /** The byte's data bits moved to their data-bit indices. */
+    Word data[kBytes][256] = {};
+};
+
+constexpr DecodeTables
+makeDecodeTables()
+{
+    DecodeTables tables;
+    for (int byte = 0; byte < kBytes; ++byte) {
+        for (int value = 0; value < 256; ++value) {
+            for (int bit = 0; bit < 8; ++bit) {
+                const int pos = 8 * byte + bit;
+                if (((value >> bit) & 1) && pos < kPositions)
+                    tables.syndrome[byte][value] ^= pos;
+            }
+        }
+    }
+    for (int i = 0; i < 32; ++i) {
+        const int pos = dataPosition(i);
+        for (int value = 0; value < 256; ++value) {
+            if ((value >> (pos % 8)) & 1)
+                tables.data[pos / 8][value] |= Word{1} << i;
+        }
+    }
+    return tables;
+}
+
+constexpr DecodeTables kDecode = makeDecodeTables();
+
+/** Byte @p byte of a codeword container. */
+constexpr unsigned
+codeByte(EccWord code, int byte)
+{
+    return static_cast<unsigned>(code >> (8 * byte)) & 0xffu;
 }
 
 } // namespace
@@ -72,17 +122,10 @@ eccEncode(Word data)
 EccDecode
 eccDecode(EccWord code)
 {
-    // Recompute the syndrome.
+    // Recompute the syndrome, one codeword byte at a time.
     int syndrome = 0;
-    for (int p = 1; p < kPositions; p <<= 1) {
-        int parity = 0;
-        for (int pos = 1; pos < kPositions; ++pos) {
-            if (pos & p)
-                parity ^= static_cast<int>((code >> pos) & 1u);
-        }
-        if (parity)
-            syndrome |= p;
-    }
+    for (int byte = 0; byte < kBytes; ++byte)
+        syndrome ^= kDecode.syndrome[byte][codeByte(code, byte)];
 
     const int overall = std::popcount(code) & 1;
 
@@ -100,16 +143,10 @@ eccDecode(EccWord code)
         result.status = EccStatus::Uncorrectable;
     }
 
-    // Extract data bits.
+    // Extract the data bits of the corrected codeword.
     Word data = 0;
-    int seen = -1;
-    for (int pos = 1; pos < kPositions; ++pos) {
-        if (isPowerOfTwo(pos))
-            continue;
-        ++seen;
-        if ((code >> pos) & 1u)
-            data |= Word{1} << seen;
-    }
+    for (int byte = 0; byte < kBytes; ++byte)
+        data |= kDecode.data[byte][codeByte(code, byte)];
     result.data = data;
     return result;
 }
@@ -117,6 +154,12 @@ eccDecode(EccWord code)
 EccWord
 eccFlipBit(EccWord code, int bit)
 {
+    if (bit < 0 || bit >= eccCodewordBits) {
+        std::string msg = "eccFlipBit: bit ";
+        msg += std::to_string(bit);
+        msg += " is outside the 39-bit codeword";
+        panic(msg);
+    }
     return code ^ (EccWord{1} << bit);
 }
 

@@ -8,9 +8,12 @@
 #include <gtest/gtest.h>
 
 #include "apps/app.hh"
+#include "commguard/alignment_manager.hh"
+#include "common/ecc.hh"
 #include "isa/assembler.hh"
 #include "kernels/basic.hh"
 #include "machine/core.hh"
+#include "queue/working_set_queue.hh"
 #include "streamit/loader.hh"
 
 namespace commguard
@@ -161,6 +164,47 @@ TEST(FatalPaths, CoreRejectsCodeThatRunsPastItsEnd)
     ASSERT_TRUE(validate(p).ok);
     EXPECT_DEATH(Core(0, "c").setProgram(p),
                  "runs past its last instruction");
+}
+
+TEST(FatalPaths, EccFlipBitOutsideTheCodewordDies)
+{
+    // Shifting by 64 or more, or by a negative count, is undefined; a
+    // container bit in 39..63 would be seen only by overall parity.
+    const EccWord code = eccEncode(0x1234u);
+    for (const int bit : {-1, eccCodewordBits, 64}) {
+        EXPECT_DEATH(eccFlipBit(code, bit), "outside the 39-bit codeword")
+            << "bit " << bit;
+    }
+}
+
+/** A header for @p frame whose codeword has @p flips bits flipped. */
+QueueWord
+damagedHeader(FrameId frame, int flips)
+{
+    QueueWord header = makeHeader(frame);
+    for (int i = 0; i < flips; ++i)
+        header.ecc = eccFlipBit(header.ecc, 3 + 17 * i);
+    return header;
+}
+
+TEST(FatalPaths, HeaderThatFailsItsEccCheckDies)
+{
+    // Headers are never injected with errors, so the queue manager
+    // treats any decode that is not Clean as a simulator bug instead of
+    // handing a wrong frame ID to the alignment manager.
+    for (const int flips : {2, 1}) {
+        CgCounters counters;
+        WorkingSetQueue queue("q", 16);
+        QueueManager qm(queue, counters);
+        AlignmentManager am(counters);
+        am.onNewFrameComputation(1);
+        ASSERT_EQ(am.state(), AmState::ExpHdr);
+        ASSERT_EQ(queue.tryPush(damagedHeader(1, flips)), QueueOpStatus::Ok);
+        EXPECT_DEATH(am.onPop(qm, 1), flips == 2
+                                          ? "uncorrectable ECC error"
+                                          : "needed an ECC correction")
+            << flips << " flips";
+    }
 }
 
 TEST(FatalPaths, UnknownBenchmarkDies)
