@@ -30,13 +30,14 @@ for arg in "$@"; do
 done
 
 CG_BENCH=$(cd "$BUILD_DIR" && pwd)/tools/cg_bench
-GOLDEN="$ROOT/tests/golden/quick.sha256"
 MODES="raw reliable-queue commguard replicate abft"
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
-ACTUAL="$WORK/actual.sha256"
+ACTUAL="$WORK/quick.sha256"
+ACTUAL_FULL="$WORK/full.sha256"
 : > "$ACTUAL"
+: > "$ACTUAL_FULL"
 
 digest() { sha256sum "$1" | cut -d' ' -f1; }
 
@@ -44,20 +45,33 @@ digest() { sha256sum "$1" | cut -d' ' -f1; }
 # listing prints `<name>  [<tag>,<tag>] <description>`.
 SCENARIOS=$("$CG_BENCH" list |
     awk '$2 ~ /^\[/ && $2 !~ /[[,]micro[],]/ { print $1 }')
+FIGURES=$("$CG_BENCH" list |
+    awk '$2 ~ /^\[/ && $2 ~ /[[,]figure[],]/ { print $1 }')
 
-for NAME in $SCENARIOS; do
-    DIR="$WORK/run_$NAME"
+# run_scenario <mode> <name> <digest-file>: run one scenario in quick
+# or full mode in its own directory and record its digests.
+run_scenario() {
+    local MODE=$1 NAME=$2 OUT=$3 QUICK=1
+    local DIR="$WORK/${MODE}_$NAME"
+    [ "$MODE" = full ] && QUICK=
     mkdir -p "$DIR"
-    (cd "$DIR" && CG_QUICK=1 CG_JOBS=4 CG_JSONL="$DIR/$NAME.jsonl" \
-        "$CG_BENCH" run "$NAME" > "$DIR/stdout" 2> "$DIR/stderr") || {
-        echo "golden.sh: cg_bench run $NAME failed" >&2
+    (cd "$DIR" && env -u CG_QUICK ${QUICK:+CG_QUICK=1} CG_JOBS=4 \
+        CG_JSONL="$DIR/$NAME.jsonl" "$CG_BENCH" run "$NAME" \
+        > "$DIR/stdout" 2> "$DIR/stderr") || {
+        echo "golden.sh: $MODE cg_bench run $NAME failed" >&2
         cat "$DIR/stderr" >&2
         exit 1
     }
-    echo "$(digest "$DIR/stdout")  run/$NAME.stdout" >> "$ACTUAL"
+    local PREFIX=run
+    [ "$MODE" = full ] && PREFIX=full
+    echo "$(digest "$DIR/stdout")  $PREFIX/$NAME.stdout" >> "$OUT"
     if [ -f "$DIR/$NAME.jsonl" ]; then
-        echo "$(digest "$DIR/$NAME.jsonl")  run/$NAME.jsonl" >> "$ACTUAL"
+        echo "$(digest "$DIR/$NAME.jsonl")  $PREFIX/$NAME.jsonl" >> "$OUT"
     fi
+}
+
+for NAME in $SCENARIOS; do
+    run_scenario quick "$NAME" "$ACTUAL"
 done
 
 for MODE in $MODES; do
@@ -75,22 +89,30 @@ for MODE in $MODES; do
     echo "$(digest "$DIR/summary")  serve/$MODE.summary" >> "$ACTUAL"
 done
 
-if [ "$UPDATE" -eq 1 ]; then
-    mkdir -p "$(dirname "$GOLDEN")"
-    cp "$ACTUAL" "$GOLDEN"
-    echo "golden.sh: wrote $(wc -l < "$GOLDEN") digests to" \
-         "tests/golden/quick.sha256"
-    exit 0
-fi
+for NAME in $FIGURES; do
+    run_scenario full "$NAME" "$ACTUAL_FULL"
+done
 
-if [ ! -f "$GOLDEN" ]; then
-    echo "golden.sh: missing tests/golden/quick.sha256 (run with" \
-         "--update)" >&2
-    exit 1
-fi
-if ! diff -u "$GOLDEN" "$ACTUAL" > "$WORK/diff"; then
-    echo "golden.sh: outputs differ from tests/golden/quick.sha256:" >&2
-    grep '^[-+][^-+]' "$WORK/diff" >&2
-    exit 1
-fi
-echo "golden.sh: golden outputs ok ($(wc -l < "$GOLDEN") digests)"
+STATUS=0
+for KIND in quick full; do
+    GOLDEN="$ROOT/tests/golden/$KIND.sha256"
+    if [ "$UPDATE" -eq 1 ]; then
+        mkdir -p "$(dirname "$GOLDEN")"
+        cp "$WORK/$KIND.sha256" "$GOLDEN"
+        echo "golden.sh: wrote $(wc -l < "$GOLDEN") digests to" \
+             "tests/golden/$KIND.sha256"
+    elif [ ! -f "$GOLDEN" ]; then
+        echo "golden.sh: missing tests/golden/$KIND.sha256 (run with" \
+             "--update)" >&2
+        STATUS=1
+    elif ! diff -u "$GOLDEN" "$WORK/$KIND.sha256" > "$WORK/diff"; then
+        echo "golden.sh: outputs differ from" \
+             "tests/golden/$KIND.sha256:" >&2
+        grep '^[-+][^-+]' "$WORK/diff" >&2
+        STATUS=1
+    else
+        echo "golden.sh: $KIND golden outputs ok" \
+             "($(wc -l < "$GOLDEN") digests)"
+    fi
+done
+exit "$STATUS"

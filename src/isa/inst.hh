@@ -25,7 +25,7 @@ namespace commguard::isa
 /** Number of architectural registers; R0 is hardwired to zero. */
 constexpr int numRegs = 32;
 
-/** Register name. R0 reads as zero and ignores writes. */
+/** Register name. R0 reads as zero; validate() rejects writes to it. */
 using Reg = std::uint8_t;
 
 /** Operation codes. */

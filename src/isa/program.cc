@@ -85,8 +85,9 @@ validate(const Program &prog)
             }
         }
         if (usesRd(inst.op) && inst.rd == 0 && inst.op != Op::Nop) {
-            // Writes to R0 are legal no-ops but usually indicate an
-            // assembler bug in kernels; flag them.
+            // The register file does not guard R0: this check is what
+            // keeps it zero (Core::setProgram panics on any program
+            // validate rejects).
             return fail("instruction writes hardwired R0", pc);
         }
     }

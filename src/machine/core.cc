@@ -132,49 +132,21 @@ Core::flipRandomRegisterBit()
 }
 
 inline void
-Core::writeBack(HotState &hot)
+Core::fold(Count n, Cycle extra_cycles)
 {
-    _pc = hot.pc;
-    _instsThisInvocation = hot.insts;
-    _errorCountdown = hot.countdown;
-    _counters.committedInsts += hot.committed;
-    _counters.cycles += hot.cycles;
-    _counters.loads += hot.loads;
-    _counters.stores += hot.stores;
-    hot.committed = 0;
-    hot.cycles = 0;
-    hot.loads = 0;
-    hot.stores = 0;
-}
-
-inline void
-Core::reload(HotState &hot) const
-{
-    hot.pc = _pc;
-    hot.insts = _instsThisInvocation;
-    hot.countdown = _errorCountdown;
-}
-
-inline void
-Core::fold(HotState &hot, Count n, Cycle extra_cycles)
-{
-    hot.committed += n;
-    hot.executed += n;
-    hot.insts += n;
-    hot.cycles += n + extra_cycles;
-    hot.countdown -= n;
-    if (hot.countdown == 0) [[unlikely]] {
-        writeBack(hot);
+    _counters.committedInsts += n;
+    _counters.cycles += n + extra_cycles;
+    _instsThisInvocation += n;
+    _errorCountdown -= n;
+    if (_errorCountdown == 0) [[unlikely]]
         syncScheduledErrors();
-        reload(hot);
-    }
 }
 
 inline void
-Core::commit(HotState &hot, Cycle extra_cycles, Count next_pc)
+Core::commit(Cycle extra_cycles, Count next_pc)
 {
-    hot.pc = next_pc;
-    fold(hot, 1, extra_cycles);
+    _pc = next_pc;
+    fold(1, extra_cycles);
 }
 
 inline Count
@@ -208,9 +180,7 @@ Core::resolveBlockedPop(Word value)
         _trace->onQueuePop(*this, _blockedPort);
     }
     _blocked = false;
-    HotState hot = holdHotState();
-    commit(hot, _timing.queueOpCycles, hot.pc + 1);
-    writeBack(hot);
+    commit(_timing.queueOpCycles, _pc + 1);
 }
 
 void
@@ -226,9 +196,7 @@ Core::resolveBlockedPush()
         _trace->onQueuePush(*this, _blockedPort);
     }
     _blocked = false;
-    HotState hot = holdHotState();
-    commit(hot, _timing.queueOpCycles, hot.pc + 1);
-    writeBack(hot);
+    commit(_timing.queueOpCycles, _pc + 1);
 }
 
 void
@@ -313,26 +281,20 @@ Core::run(Count max_steps)
     const Word mem_words = static_cast<Word>(_memory.size());
     const bool journal_stores = _journalStores;
 
-    // The hot state lives in locals for the whole slice; writeBack()
-    // publishes it before every call out of the loop and every return.
-    HotState hot = holdHotState();
+    // The slice's commits; everything else is counted in the members.
+    Count executed = 0;
     Count limit = watchdogLimit();
-    auto finish = [&](RunStatus status) {
-        writeBack(hot);
-        return RunResult{status, hot.executed};
-    };
 
-    while (hot.executed < max_steps) {
-        if (hot.insts >= limit) [[unlikely]] {
-            writeBack(hot);
-            if (hot.insts >= _scopeBudget) {
+    while (executed < max_steps) {
+        if (_instsThisInvocation >= limit) [[unlikely]] {
+            if (_instsThisInvocation >= _scopeBudget) {
                 // PPU watchdog: the scope ran too long (e.g., a
                 // corrupted loop counter); force the frame computation
                 // to complete.
                 ++_counters.scopeWatchdogTrips;
                 if (_trace != nullptr) [[unlikely]]
                     _trace->onWatchdogTrip(*this, false);
-                return finish(RunStatus::Done);
+                return {RunStatus::Done, executed};
             }
 
             // Nested scope watchdog (paper SS4.4): force the innermost
@@ -348,7 +310,7 @@ Core::run(Count max_steps)
                     _trace->onQueueUnblock(*this, _blockedPort,
                                            _blockedIsPop);
             }
-            hot.pc = static_cast<Count>(_scopeStack.back().exitPc);
+            _pc = static_cast<Count>(_scopeStack.back().exitPc);
             _blocked = false;
             limit = watchdogLimit();
         }
@@ -359,19 +321,21 @@ Core::run(Count max_steps)
         // executes before the next check, even past an outer limit.
         // Every term is at least 1, so the run's first instruction
         // needs no check.
-        const Count room = hot.insts < limit ? limit - hot.insts : 1;
+        const Count room = _instsThisInvocation < limit
+                               ? limit - _instsThisInvocation
+                               : 1;
         const Count budget =
-            std::min({max_steps - hot.executed, room, hot.countdown});
+            std::min({max_steps - executed, room, _errorCountdown});
 
         // The run: straight-line instructions until the budget is spent
         // or a run-ending instruction comes up. Its only bookkeeping is
         // the cursor, the run length and the memory-op counts, all
-        // scalars (folding through HotState here costs vector shuffles
-        // per instruction in GCC 12's code). Every handler ends in its
+        // scalar locals that fold into the members once, at the run's
+        // end (DESIGN.md §6b codegen caution). Every handler ends in its
         // own latch: move the cursor (a taken branch sets it to the
         // target), count, stop at the budget, and dispatch the next
         // opcode (DESIGN.md §6b).
-        const Inst *ip = code + hot.pc;
+        const Inst *ip = code + _pc;
         Count n = 0;
         Count loads = 0;
         Count stores = 0;
@@ -633,41 +597,37 @@ Core::run(Count max_steps)
         // execute.
         ends_run = true;
       run_done:
-        // Fold the run into the hot state once.
-        hot.loads += loads;
-        hot.stores += stores;
-        hot.pc = static_cast<Count>(ip - code);
-        fold(hot, n, (loads + stores) * _timing.memExtraCycles);
+        // Fold the run into the members once.
+        _counters.loads += loads;
+        _counters.stores += stores;
+        _pc = static_cast<Count>(ip - code);
+        executed += n;
+        fold(n, (loads + stores) * _timing.memExtraCycles);
         if (!ends_run)
             continue;
 
-        // The run-ending instruction at hot.pc, committed on its own.
+        // The run-ending instruction at _pc, committed on its own.
         const Inst &inst = *ip;
-        const Count next_pc = hot.pc + 1;
+        const Count next_pc = _pc + 1;
         switch (inst.op) {
           case Op::Halt:
-            commit(hot, 0, hot.pc);
-            return finish(RunStatus::Done);
+            commit(0, _pc);
+            return {RunStatus::Done, executed + 1};
 
           // ----------------------------------------------------------
           // Streaming communication.
           // ----------------------------------------------------------
           case Op::Push: {
             const int port = static_cast<int>(inst.imm);
-            // Backends call back into the core (exposeQueueWindow,
-            // chargeQueueTransfer, traceSink, ...): publish, then
-            // re-read what they may have changed.
-            writeBack(hot);
             const QueueOpStatus status =
                 _backend->push(port, _regs.read(inst.rs2));
-            reload(hot);
             if (status == QueueOpStatus::Blocked) {
                 if (_trace != nullptr && !_blocked) [[unlikely]]
                     _trace->onQueueBlock(*this, port, false);
                 _blocked = true;
                 _blockedIsPop = false;
                 _blockedPort = port;
-                return finish(RunStatus::Blocked);
+                return {RunStatus::Blocked, executed};
             }
             if (_trace != nullptr) [[unlikely]] {
                 if (_blocked)
@@ -676,21 +636,19 @@ Core::run(Count max_steps)
             }
             _blocked = false;
             ++_counters.queuePushes;
-            commit(hot, _timing.queueOpCycles, next_pc);
+            commit(_timing.queueOpCycles, next_pc);
             break;
           }
           case Op::Pop: {
             const int port = static_cast<int>(inst.imm);
-            writeBack(hot);
             const BackendPopResult result = _backend->pop(port);
-            reload(hot);
             if (result.blocked) {
                 if (_trace != nullptr && !_blocked) [[unlikely]]
                     _trace->onQueueBlock(*this, port, true);
                 _blocked = true;
                 _blockedIsPop = true;
                 _blockedPort = port;
-                return finish(RunStatus::Blocked);
+                return {RunStatus::Blocked, executed};
             }
             if (_trace != nullptr) [[unlikely]] {
                 if (_blocked)
@@ -700,7 +658,7 @@ Core::run(Count max_steps)
             _blocked = false;
             _regs.write(inst.rd, result.value);
             ++_counters.queuePops;
-            commit(hot, _timing.queueOpCycles, next_pc);
+            commit(_timing.queueOpCycles, next_pc);
             break;
           }
 
@@ -717,10 +675,11 @@ Core::run(Count max_steps)
                 if (scope_budget < 64)
                     scope_budget = 64;
                 _scopeStack.push_back(ScopeFrame{
-                    inst.imm, info.exitPc, hot.insts + scope_budget});
+                    inst.imm, info.exitPc,
+                    _instsThisInvocation + scope_budget});
                 limit = watchdogLimit();
             }
-            commit(hot, 0, next_pc);
+            commit(0, next_pc);
             break;
           }
           case Op::ScopeExit:
@@ -731,16 +690,17 @@ Core::run(Count max_steps)
                 _scopeStack.pop_back();
                 limit = watchdogLimit();
             }
-            commit(hot, 0, next_pc);
+            commit(0, next_pc);
             break;
 
           default:
             panic("core " + _name + ": " + isa::opName(inst.op) +
                   " does not end a run");
         }
+        ++executed;
     }
 
-    return finish(RunStatus::OutOfSteps);
+    return {RunStatus::OutOfSteps, executed};
 }
 
 } // namespace commguard

@@ -272,58 +272,21 @@ class Core
 
   private:
     /**
-     * The interpreter's hot state while run() holds it in locals:
-     * pc, insts and countdown stand for _pc, _instsThisInvocation and
-     * _errorCountdown; committed, cycles, loads and stores are the
-     * counts not yet added to the counters; executed is the commits of
-     * the current run() slice.
+     * Count @p n commits: instructions, the per-invocation count and
+     * the error countdown, and one cycle each plus @p extra_cycles. If
+     * that spends the countdown, run the error sync. The only
+     * definition of counting: run() folds each straight-line run
+     * through it once, whether or not a trace sink is attached, and
+     * commit() is its one-instruction case.
      */
-    struct HotState
-    {
-        Count pc;
-        Count insts;
-        Count countdown;
-        Count committed;
-        Cycle cycles;
-        Count loads;
-        Count stores;
-        Count executed;
-    };
-
-    /** Take the hot state into locals (no pending deltas). */
-    HotState
-    holdHotState() const
-    {
-        return {_pc, _instsThisInvocation, _errorCountdown, 0, 0, 0, 0,
-                0};
-    }
+    void fold(Count n, Cycle extra_cycles);
 
     /**
-     * Publish @p hot to the members. run() calls this before every
-     * call out of its loop and before every return, so nothing outside
-     * the loop ever sees stale state.
-     */
-    void writeBack(HotState &hot);
-
-    /** Re-read what a backend call or the error sync may change. */
-    void reload(HotState &hot) const;
-
-    /**
-     * Count @p n commits into @p hot: instructions, the per-invocation
-     * count and the error countdown, and one cycle each plus
-     * @p extra_cycles. If that spends the countdown, run the error
-     * sync. The only definition of counting: run() folds each
-     * straight-line run through it once, whether or not a trace sink
-     * is attached, and commit() is its one-instruction case.
-     */
-    void fold(HotState &hot, Count n, Cycle extra_cycles);
-
-    /**
-     * Commit the instruction at hot.pc: move pc to @p next_pc, then
-     * fold one instruction. Run-ending instructions and the QM timeout
+     * Commit the instruction at _pc: move _pc to @p next_pc, then fold
+     * one instruction. Run-ending instructions and the QM timeout
      * paths go through it.
      */
-    void commit(HotState &hot, Cycle extra_cycles, Count next_pc);
+    void commit(Cycle extra_cycles, Count next_pc);
 
     /**
      * The instsThisInvocation at which a watchdog next trips: the

@@ -2,9 +2,11 @@
  * @file
  * Architectural register file of a simulated core.
  *
- * Thirty-two 32-bit registers; R0 is hardwired to zero (reads as zero,
- * ignores writes, and is never targeted by the error injector — a
- * hardwired zero has no storage to flip).
+ * Thirty-two 32-bit registers; R0 is hardwired to zero. Nothing ever
+ * writes or flips it, so it needs no check here: isa::validate rejects
+ * every instruction that writes R0 (Core::setProgram panics on such a
+ * program), and the error injector never targets it — a hardwired zero
+ * has no storage to flip.
  */
 
 #ifndef COMMGUARD_MACHINE_REGISTER_FILE_HH
@@ -31,20 +33,24 @@ class RegisterFile
         return _regs[reg];
     }
 
-    /** Write a register; writes to R0 are dropped. */
+    /**
+     * Write a register. @p reg is never R0: it is the destination of a
+     * validated instruction (see the file comment).
+     */
     void
     write(isa::Reg reg, Word value)
     {
-        if (reg != 0)
-            _regs[reg] = value;
+        _regs[reg] = value;
     }
 
-    /** Flip one bit of a register (error injection). No effect on R0. */
+    /**
+     * Flip one bit of a register (error injection). @p reg is never R0:
+     * Core::flipRandomRegisterBit picks from R1-R31.
+     */
     void
     flipBit(isa::Reg reg, int bit)
     {
-        if (reg != 0)
-            _regs[reg] ^= Word{1} << bit;
+        _regs[reg] ^= Word{1} << bit;
     }
 
     /** Zero every register (invocation start). */

@@ -1,14 +1,15 @@
 /**
  * @file
- * The interpreter keeps its hot state (pc, instruction counts, cycles,
- * error countdown) in locals and writes it back to the core before
- * anything outside Core::run can observe or change it: backend calls
- * (which call back into the core for software-queue exposure), trace
- * hooks, the error sync, and the watchdog trips. These tests pin that
- * rule on a producer→consumer pair that exercises every such point
- * under heavy error injection: a traced run and an untraced run must
- * end in the same state, the state each trace hook observes is pinned
- * by a digest, and no scheduling-slice size changes either.
+ * The interpreter counts pc, instructions, cycles and the error
+ * countdown in the core's members, and folds each straight-line run
+ * into them once, before anything outside the run can observe or
+ * change them: backend calls (which call back into the core for
+ * software-queue exposure), trace hooks, the error sync, and the
+ * watchdog trips. These tests pin the state those points see on a
+ * producer→consumer pair that exercises every one of them under heavy
+ * error injection: a traced run and an untraced run must end in the
+ * same state, the state each trace hook observes is pinned by a
+ * digest, and no scheduling-slice size changes either.
  */
 
 #include <gtest/gtest.h>
@@ -384,7 +385,7 @@ TEST(CoreWriteBack, TracedAndUntracedRunsEndAlike)
     ASSERT_TRUE(traced.completed);
     ASSERT_TRUE(plain.completed);
 
-    // The workload reaches every write-back point.
+    // The workload reaches every call out of the run.
     EXPECT_GT(sink.count(Hook::ErrorInjected), 0u);
     EXPECT_GT(sink.count(Hook::QueueCorrupt), 0u);
     EXPECT_GT(sink.count(Hook::QueueBlock), 0u);

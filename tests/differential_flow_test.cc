@@ -2,16 +2,15 @@
  * @file
  * Second differential suite: random programs *with memory and control
  * flow*. A structured generator emits nested bounded loops, forward
- * branches, and load/store traffic; an independent oracle interpreter
- * (with the same PPU contract: wrapped addressing, benign traps)
- * executes the same program. Register files and data memory must
- * match bit-exactly.
+ * branches, and load/store traffic through random 32-bit addresses into
+ * a 64-word memory, so nearly every access wraps; the reference core
+ * (tests/reference_core.hh, with the same PPU contract: wrapped
+ * addressing, benign traps) executes the same program. Register files
+ * and data memory must match bit-exactly.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -19,6 +18,7 @@
 #include "isa/assembler.hh"
 #include "machine/backends.hh"
 #include "machine/multicore.hh"
+#include "reference_core.hh"
 
 namespace commguard
 {
@@ -27,101 +27,7 @@ namespace
 
 using namespace isa;
 
-constexpr std::size_t oracleMemWords = 64;
-
-/**
- * Oracle interpreter for branchy programs. Independent transcription
- * of the ISA semantics, including the PPU addressing contract.
- */
-class FlowOracle
-{
-  public:
-    /** Runs until Halt or the step budget; returns steps executed. */
-    Count
-    run(const Program &program, Count max_steps)
-    {
-        _mem.assign(program.memWords, 0);
-        std::copy(program.data.begin(), program.data.end(),
-                  _mem.begin());
-        _regs.fill(0);
-
-        Count pc = 0;
-        Count steps = 0;
-        while (steps < max_steps) {
-            const Inst &inst = program.code[pc];
-            ++steps;
-            Count next = pc + 1;
-            const Word a = reg(inst.rs1);
-            const Word b = reg(inst.rs2);
-            switch (inst.op) {
-              case Op::Halt:
-                return steps;
-              case Op::Nop:
-                break;
-              case Op::Li: set(inst.rd, inst.imm); break;
-              case Op::Add: set(inst.rd, a + b); break;
-              case Op::Sub: set(inst.rd, a - b); break;
-              case Op::Mul: set(inst.rd, a * b); break;
-              case Op::Xor: set(inst.rd, a ^ b); break;
-              case Op::And: set(inst.rd, a & b); break;
-              case Op::Or: set(inst.rd, a | b); break;
-              case Op::Addi: set(inst.rd, a + inst.imm); break;
-              case Op::Slli:
-                set(inst.rd, a << (inst.imm & 31));
-                break;
-              case Op::Srli:
-                set(inst.rd, a >> (inst.imm & 31));
-                break;
-              case Op::Lw:
-                set(inst.rd,
-                    _mem[(a + inst.imm) % _mem.size()]);
-                break;
-              case Op::Sw:
-                _mem[(a + inst.imm) % _mem.size()] = b;
-                break;
-              case Op::Beq:
-                if (a == b)
-                    next = static_cast<Count>(inst.target);
-                break;
-              case Op::Bne:
-                if (a != b)
-                    next = static_cast<Count>(inst.target);
-                break;
-              case Op::Blt:
-                if (static_cast<SWord>(a) < static_cast<SWord>(b))
-                    next = static_cast<Count>(inst.target);
-                break;
-              case Op::Bgeu:
-                if (a >= b)
-                    next = static_cast<Count>(inst.target);
-                break;
-              case Op::Jmp:
-                next = static_cast<Count>(inst.target);
-                break;
-              default:
-                ADD_FAILURE()
-                    << "oracle: unexpected op " << opName(inst.op);
-                return steps;
-            }
-            pc = next;
-        }
-        return steps;
-    }
-
-    Word reg(Reg r) const { return r == 0 ? 0 : _regs[r]; }
-    const std::vector<Word> &memory() const { return _mem; }
-
-  private:
-    void
-    set(Reg r, Word v)
-    {
-        if (r != 0)
-            _regs[r] = v;
-    }
-
-    std::array<Word, numRegs> _regs{};
-    std::vector<Word> _mem;
-};
+constexpr std::size_t flowMemWords = 64;
 
 /**
  * Structured random program: a few registers of setup, then nested
@@ -132,8 +38,8 @@ Program
 makeFlowProgram(Rng &rng)
 {
     Assembler a("flow");
-    a.setMemWords(oracleMemWords);
-    a.reserve(oracleMemWords);
+    a.setMemWords(flowMemWords);
+    a.reserve(flowMemWords);
 
     int label_id = 0;
     for (Reg r = 1; r <= 8; ++r)
@@ -192,13 +98,15 @@ TEST_P(FlowDifferential, RegistersAndMemoryMatchOracle)
     const Program program = makeFlowProgram(rng);
     ASSERT_TRUE(validate(program).ok);
 
-    FlowOracle oracle;
-    const Count budget = 2'000'000;
-    const Count oracle_steps = oracle.run(program, budget);
-    ASSERT_LT(oracle_steps, budget) << "oracle did not halt";
+    PpuConfig ppu;
+    ppu.defaultScopeBudget = 2'000'000;
+    test::ReferenceCore reference(program, ppu);
+    reference.runInvocation();
+    ASSERT_EQ(reference.counters().scopeWatchdogTrips, 0u)
+        << "reference did not halt";
 
     Multicore machine;
-    machine.config().ppu.defaultScopeBudget = budget;
+    machine.config().ppu = ppu;
     Core &core = machine.addCore("flow");
     core.setProgram(program);
     CommBackend &backend = machine.addBackend(
@@ -207,15 +115,16 @@ TEST_P(FlowDifferential, RegistersAndMemoryMatchOracle)
     machine.addRuntime(core, backend, 1);
     ASSERT_TRUE(machine.run().completed);
 
-    EXPECT_EQ(core.counters().committedInsts, oracle_steps);
+    EXPECT_EQ(core.counters().committedInsts,
+              reference.counters().committedInsts);
     for (int r = 0; r < numRegs; ++r) {
         EXPECT_EQ(core.regs().read(static_cast<Reg>(r)),
-                  oracle.reg(static_cast<Reg>(r)))
+                  reference.reg(static_cast<Reg>(r)))
             << "register r" << r;
     }
-    ASSERT_EQ(core.memory().size(), oracle.memory().size());
-    for (std::size_t i = 0; i < oracle.memory().size(); ++i) {
-        EXPECT_EQ(core.memory()[i], oracle.memory()[i])
+    ASSERT_EQ(core.memory().size(), reference.memory().size());
+    for (std::size_t i = 0; i < reference.memory().size(); ++i) {
+        EXPECT_EQ(core.memory()[i], reference.memory()[i])
             << "memory word " << i;
     }
 }

@@ -2,20 +2,20 @@
  * @file
  * Differential testing of the interpreter: random straight-line
  * programs over the integer/float ALU are executed both by the Core
- * and by an independent oracle evaluator written directly against the
- * ISA's semantic definitions. Any divergence is an interpreter bug.
+ * and by the reference core (tests/reference_core.hh), written
+ * directly against the ISA's semantic definitions. Any divergence is an
+ * interpreter bug.
  */
 
 #include <gtest/gtest.h>
 
-#include <array>
-#include <cmath>
 #include <memory>
 
 #include "common/rng.hh"
 #include "isa/assembler.hh"
 #include "machine/backends.hh"
 #include "machine/multicore.hh"
+#include "reference_core.hh"
 
 namespace commguard
 {
@@ -23,125 +23,6 @@ namespace
 {
 
 using namespace isa;
-
-/**
- * Independent reference evaluator for straight-line register code.
- * Deliberately written from the ISA spec, not from the interpreter.
- */
-class Oracle
-{
-  public:
-    void
-    execute(const Inst &inst)
-    {
-        const Word a = read(inst.rs1);
-        const Word b = read(inst.rs2);
-        const float fa = wordToFloat(a);
-        const float fb = wordToFloat(b);
-
-        switch (inst.op) {
-          case Op::Li: write(inst.rd, inst.imm); break;
-          case Op::Add: write(inst.rd, a + b); break;
-          case Op::Sub: write(inst.rd, a - b); break;
-          case Op::Mul: write(inst.rd, a * b); break;
-          case Op::Divu: write(inst.rd, b ? a / b : 0); break;
-          case Op::Divs: {
-            const SWord sa = static_cast<SWord>(a);
-            const SWord sb = static_cast<SWord>(b);
-            write(inst.rd,
-                  sb ? static_cast<Word>(static_cast<SWord>(
-                           static_cast<std::int64_t>(sa) / sb))
-                     : 0);
-            break;
-          }
-          case Op::Remu: write(inst.rd, b ? a % b : 0); break;
-          case Op::And: write(inst.rd, a & b); break;
-          case Op::Or: write(inst.rd, a | b); break;
-          case Op::Xor: write(inst.rd, a ^ b); break;
-          case Op::Sll: write(inst.rd, a << (b & 31)); break;
-          case Op::Srl: write(inst.rd, a >> (b & 31)); break;
-          case Op::Sra:
-            write(inst.rd, static_cast<Word>(
-                               static_cast<SWord>(a) >> (b & 31)));
-            break;
-          case Op::Slt:
-            write(inst.rd, static_cast<SWord>(a) <
-                                   static_cast<SWord>(b)
-                               ? 1 : 0);
-            break;
-          case Op::Sltu: write(inst.rd, a < b ? 1 : 0); break;
-          case Op::Addi: write(inst.rd, a + inst.imm); break;
-          case Op::Andi: write(inst.rd, a & inst.imm); break;
-          case Op::Ori: write(inst.rd, a | inst.imm); break;
-          case Op::Xori: write(inst.rd, a ^ inst.imm); break;
-          case Op::Slli: write(inst.rd, a << (inst.imm & 31)); break;
-          case Op::Srli: write(inst.rd, a >> (inst.imm & 31)); break;
-          case Op::Srai:
-            write(inst.rd,
-                  static_cast<Word>(static_cast<SWord>(a) >>
-                                    (inst.imm & 31)));
-            break;
-          case Op::Fadd: write(inst.rd, floatToWord(fa + fb)); break;
-          case Op::Fsub: write(inst.rd, floatToWord(fa - fb)); break;
-          case Op::Fmul: write(inst.rd, floatToWord(fa * fb)); break;
-          case Op::Fdiv: write(inst.rd, floatToWord(fa / fb)); break;
-          case Op::Fsqrt:
-            write(inst.rd,
-                  floatToWord(fa >= 0.0f ? std::sqrt(fa) : 0.0f));
-            break;
-          case Op::Fabs:
-            write(inst.rd, floatToWord(std::fabs(fa)));
-            break;
-          case Op::Fneg: write(inst.rd, floatToWord(-fa)); break;
-          case Op::Fmin:
-            // ISA spec: NaN yields the other operand; ties keep the
-            // first operand.
-            write(inst.rd,
-                  floatToWord(fa != fa   ? fb
-                              : fb != fb ? fa
-                              : fb < fa  ? fb
-                                         : fa));
-            break;
-          case Op::Fmax:
-            write(inst.rd,
-                  floatToWord(fa != fa   ? fb
-                              : fb != fb ? fa
-                              : fa < fb  ? fb
-                                         : fa));
-            break;
-          case Op::Cvtif:
-            write(inst.rd,
-                  floatToWord(
-                      static_cast<float>(static_cast<SWord>(a))));
-            break;
-          case Op::Cvtfi: {
-            SWord result = 0;
-            if (std::isfinite(fa) && fa >= -2147483648.0f &&
-                fa <= 2147483520.0f)
-                result = static_cast<SWord>(fa);
-            write(inst.rd, static_cast<Word>(result));
-            break;
-          }
-          case Op::Feq: write(inst.rd, fa == fb ? 1 : 0); break;
-          case Op::Flt: write(inst.rd, fa < fb ? 1 : 0); break;
-          case Op::Fle: write(inst.rd, fa <= fb ? 1 : 0); break;
-          default:
-            FAIL() << "oracle: unexpected op " << opName(inst.op);
-        }
-    }
-
-    Word read(Reg reg) const { return reg == 0 ? 0 : _regs[reg]; }
-
-    void
-    write(Reg reg, Word value)
-    {
-        if (reg != 0)
-            _regs[reg] = value;
-    }
-
-  private:
-    std::array<Word, numRegs> _regs{};
-};
 
 /** Ops the generator may emit (no control flow/memory/queues). */
 const Op generatorOps[] = {
@@ -191,12 +72,9 @@ TEST_P(Differential, RandomProgramMatchesOracle)
     program.code.push_back(halt);
     ASSERT_TRUE(validate(program).ok);
 
-    // Oracle pass.
-    Oracle oracle;
-    for (const Inst &inst : program.code) {
-        if (inst.op != Op::Halt)
-            oracle.execute(inst);
-    }
+    // Reference pass.
+    test::ReferenceCore reference(program);
+    reference.runInvocation();
 
     // Interpreter pass.
     Multicore machine;
@@ -211,7 +89,7 @@ TEST_P(Differential, RandomProgramMatchesOracle)
     // Bit-exact register file comparison (NaNs compare as bits).
     for (int r = 0; r < numRegs; ++r) {
         EXPECT_EQ(core.regs().read(static_cast<Reg>(r)),
-                  oracle.read(static_cast<Reg>(r)))
+                  reference.reg(static_cast<Reg>(r)))
             << "register r" << r;
     }
 }

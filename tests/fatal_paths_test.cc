@@ -151,6 +151,25 @@ TEST(FatalPaths, CoreRejectsJumpPastTheEnd)
                  "branch target outside code");
 }
 
+TEST(FatalPaths, CoreRejectsAnR0Destination)
+{
+    // RegisterFile::write does not test for R0: no validated program
+    // writes it, so the core must not load one that does.
+    Inst addi;
+    addi.op = Op::Addi;
+    addi.rd = 0;
+    addi.rs1 = 1;
+    EXPECT_DEATH(Core(0, "c").setProgram(handBuilt(addi)),
+                 "writes hardwired R0");
+
+    Inst pop;
+    pop.op = Op::Pop;
+    pop.rd = 0;
+    Program p = handBuilt(pop);
+    p.numInPorts = 1;
+    EXPECT_DEATH(Core(0, "c").setProgram(p), "writes hardwired R0");
+}
+
 TEST(FatalPaths, CoreRejectsCodeThatRunsPastItsEnd)
 {
     // validate() accepts it; run() would fall through past the last
